@@ -20,7 +20,7 @@ import sys
 import click
 import numpy as np
 
-from . import bounds, geometry, oracle, quadrature, steiner, svgfig
+from . import __version__, bounds, geometry, oracle, quadrature, steiner, svgfig
 from .geometry import EllipsoidSum, SceneSchemaError, SceneValidationError
 from .spd import SpdError, SpdMatrix
 
@@ -63,11 +63,14 @@ def _emit(text: str, out: str | None):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        _fail(EXIT_NUMERIC, "result is not finite")
 
 
 @click.group()
-@click.version_option(package_name="minksum")
+@click.version_option(version=__version__)
 def main():
     """Minkowski sums of ellipsoids: boundaries, curvatures, volume bounds."""
 

@@ -154,49 +154,52 @@ def transform_scene(scene: EllipsoidSum, s) -> EllipsoidSum:
     return EllipsoidSum.from_matrices(mats)
 
 
-def _refine_support_gap(scene, x, n0, steps=20):
-    """Projected gradient ascent of phi(n) = x.n - h(n) on the sphere."""
-    x = np.asarray(x, float)
-    n = np.asarray(n0, float) / np.linalg.norm(n0)
+def max_support_gap(scene: EllipsoidSum, nodes, grid_support, support, gradient) -> float:
+    """Refined max over unit directions n of s(n) - h(n).
 
-    def phi(v):
-        return float(x @ v) - support_value(scene, v)
-
-    best = phi(n)
-    step = 0.1
-    for _ in range(steps):
-        grad = x - sum_boundary_point(scene, n)
-        grad -= n * (n @ grad)
-        gn = np.linalg.norm(grad)
-        if gn == 0.0:
-            break
-        cand = n + step * grad / gn
-        cand /= np.linalg.norm(cand)
-        val = phi(cand)
-        if val > best:
-            n, best = cand, val
-            step *= 1.5
-        else:
-            step *= 0.5
+    s is the support function of a candidate body: `grid_support` holds
+    its values at the rows of `nodes`, `support` and `gradient` evaluate
+    it and its gradient at one direction.  h is the support function of
+    the sum.  The max is located on the grid and refined by 20
+    projected-gradient steps with an adaptive step from each of the 5
+    best nodes, so the result is deterministic.
+    """
+    gaps = grid_support - support_values(scene, nodes)
+    best = -np.inf
+    for k in np.argsort(gaps, kind="stable")[-5:]:
+        n = nodes[k].copy()
+        val = gaps[k]
+        step = 0.05
+        for _ in range(20):
+            grad = gradient(n) - sum_boundary_point(scene, n)
+            grad -= n * (n @ grad)
+            gn = np.linalg.norm(grad)
+            if gn == 0.0:
+                break
+            cand = n + step * grad / gn
+            cand /= np.linalg.norm(cand)
+            v = float(support(cand) - support_value(scene, cand))
+            if v > val:
+                n, val = cand, v
+                step *= 1.5
+            else:
+                step *= 0.5
+        best = max(best, val)
     return best
 
 
 def contains_point(scene: EllipsoidSum, x, grid, tol: float | None = None) -> str:
     """Classify a point as 'inside', 'outside', or 'boundary'.
 
-    Convexity gives x in the sum iff x.n <= h(n) for every direction n.
-    The max of x.n - h(n) is located on a direction grid and refined by a
-    fixed number of projected-gradient steps from the 5 best nodes, so the
-    result is deterministic.
+    Convexity gives x in the sum iff x.n <= h(n) for every unit direction
+    n; the max of x.n - h(n) is searched by max_support_gap over the rows
+    of `grid`.
     """
     x = np.asarray(x, dtype=float)
     nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
-    h = support_values(scene, nodes)
     if tol is None:
-        tol = 1e-8 * 2.0 * float(np.max(h))
-    phi = nodes @ x - h
-    starts = np.argsort(phi, kind="stable")[-5:]
-    best = max(_refine_support_gap(scene, x, nodes[k]) for k in starts)
+        tol = 1e-8 * 2.0 * float(np.max(support_values(scene, nodes)))
+    best = max_support_gap(scene, nodes, nodes @ x, lambda n: x @ n, lambda n: x)
     if best > tol:
         return "outside"
     if best < -tol:

@@ -351,6 +351,48 @@ class TestMinvolOuter:
             ).det()
             assert det_l <= det_beta + 1e-9 * det_beta
 
+    # minvol_outer determinants from the earlier Nelder-Mead search
+    # (direction family, then the gamma simplex), for random_scene draws
+    # from default_rng(2018): two scenes per (N, m), in this order.
+    NELDER_MEAD_DETS = [
+        (2, 2, 10.533949158917439),
+        (2, 2, 13.002982885852875),
+        (2, 3, 20.748251400584067),
+        (2, 3, 46.38585095125383),
+        (2, 4, 50.91661204068438),
+        (2, 4, 39.39420530385694),
+        (2, 5, 80.3758313699228),
+        (2, 5, 74.94197102173779),
+        (2, 6, 127.82884429931423),
+        (2, 6, 137.93259291722524),
+        (3, 2, 14.535783468519991),
+        (3, 2, 47.69519419878721),
+        (3, 3, 139.89110585918013),
+        (3, 3, 203.3103929972473),
+        (3, 4, 281.72648084793053),
+        (3, 4, 322.5819692779553),
+        (3, 5, 315.19981710755906),
+        (3, 5, 322.38457354734254),
+        (3, 6, 1278.3951004076835),
+        (3, 6, 1138.833094664828),
+        (4, 2, 116.09679330482088),
+        (4, 2, 61.34478538000181),
+        (4, 3, 1400.745050490741),
+        (4, 3, 2160.9569021602483),
+        (4, 4, 2009.4303226523368),
+        (4, 4, 2306.3302395436167),
+        (4, 5, 4864.805748907543),
+        (4, 5, 3487.8843676654647),
+        (4, 6, 10565.64891328488),
+        (4, 6, 14785.502584475156),
+    ]
+
+    def test_not_worse_than_nelder_mead(self):
+        rng = np.random.default_rng(2018)
+        for dim, m, ref in self.NELDER_MEAD_DETS:
+            sc = random_scene(rng, dim, m)
+            assert minvol_outer(sc).det() <= ref * (1 + 1e-9)
+
     def test_beats_heuristic(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
@@ -393,6 +435,21 @@ class TestVolumeBounds:
         exact = quadrature.unit_ball_volume(2) * float(np.linalg.det(sc.matrices[0]))
         assert rep.lower_volume == pytest.approx(exact, rel=1e-10)
         assert rep.upper_volume == pytest.approx(exact, rel=1e-10)
+
+    def test_single_ellipsoid_exact(self):
+        # m = 1 forces gamma = 1: every bound is the term itself, so lower
+        # and upper agree bitwise instead of up to rounding
+        rng = np.random.default_rng(76)
+        for dim in (2, 3, 4):
+            for _ in range(5):
+                sc = random_scene(rng, dim, 1)
+                det = sc.terms[0].shape.det()
+                assert minvol_outer(sc).det() == det
+                assert outer_gamma_matrix(sc, heuristic_gammas(sc)).det() == det
+                assert inner_sum_matrix(sc).det() == det
+                if dim <= 3:  # the default N = 4 quadrature misses the 1e-9 sandwich slack
+                    rep = volume_bounds(sc)
+                    assert rep.lower_volume == rep.upper_volume
 
     def test_example_pair_lower(self, example_scene):
         rep = volume_bounds(example_scene)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import minksum
 from minksum.cli import main
 from minksum.steiner import area_sum_2d_pair
 from minksum.spd import SpdMatrix
@@ -281,6 +286,15 @@ class TestErrorHandling:
         res = runner.invoke(main, ["volume", path])
         assert res.exit_code == 2
 
+    def test_non_finite_entry(self, runner, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"dimension": 2, "ellipsoids": [{"matrix": [[NaN, 0.0], [0.0, 1.0]]}]}'
+        )
+        res = runner.invoke(main, ["volume", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
     def test_write_failure(self, runner, tmp_path):
         path = write_scene(tmp_path, UNIT_BALL_2D)
         res = runner.invoke(main, ["volume", path, "--out", "/nonexistent/dir/out.json"])
@@ -306,3 +320,19 @@ class TestDeterminism:
             second = runner.invoke(main, args)
             assert first.exit_code == 0, f"{cmd}: {first.output}"
             assert first.stdout_bytes == second.stdout_bytes, f"differs: {cmd}"
+
+
+class TestStartup:
+    def test_version(self, runner):
+        res = runner.invoke(main, ["--version"])
+        assert res.exit_code == 0
+        assert minksum.__version__ in res.stdout
+
+    def test_import_skips_scipy_optimize(self):
+        src = str(Path(minksum.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, minksum.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"

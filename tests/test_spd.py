@@ -57,6 +57,11 @@ class TestSpdMatrix:
         s = SpdMatrix(m)
         assert np.array_equal(s.entries, s.entries.T)
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SpdError):
+                SpdMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_det(self):
         s = SpdMatrix(np.diag([2.0, 3.0]))
         assert s.det() == pytest.approx(6.0, rel=1e-12)
@@ -123,6 +128,25 @@ class TestGeometricMean:
         g = geometric_mean(SpdMatrix(p1), SpdMatrix(p2)).entries
         expected = spd_sqrt(SpdMatrix(p1)).entries @ spd_sqrt(SpdMatrix(p2)).entries
         assert np.allclose(g, expected, rtol=1e-9, atol=1e-10)
+
+    def test_ill_conditioned_result_symmetric(self):
+        # P has condition 2.5e6 (the square of a term with condition 1.6e3):
+        # the product P^1/2 M P^1/2 is asymmetric by ~1e-12 relative, above
+        # SYM_TOL, unless it is symmetrized
+        p = SpdMatrix(
+            np.array(
+                [[936649.1165371957, 91488.44663081774, 533496.4878247785], [91488.44663081774, 72272.11755056263, -45369.423663684436], [533496.4878247785, -45369.423663684436, 453900.1652855556]]
+            )
+        )
+        q = SpdMatrix(
+            np.array(
+                [[51615.15053664534, 128622.45517293146, 52073.64965846569], [128622.45517293146, 321853.8461162765, 130473.48971752053], [52073.64965846569, 130473.48971752053, 52932.87831934218]]
+            )
+        )
+        g = geometric_mean(p, q).entries
+        assert np.array_equal(g, g.T)
+        lhs = g @ np.linalg.inv(p.entries) @ g
+        assert np.linalg.norm(lhs - q.entries) <= 1e-8 * np.linalg.norm(q.entries)
 
     def test_dimension_mismatch(self):
         with pytest.raises(SpdError):
