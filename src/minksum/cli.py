@@ -5,14 +5,16 @@ Commands: boundary (CSV of boundary points and curvatures), volume
 JSON report), plot (deterministic SVG figure, 2D only), oracle
 (Monte-Carlo estimate).
 
-Exit codes: 1 scene schema error, 2 numeric validation error, 3 I/O
-error, 4 plot requested for a non-2D scene.  Data goes to --out or
+Exit codes: 1 scene schema error, 2 numeric validation error (any
+ValueError a command raises), 3 I/O error, 4 plot requested for a non-2D
+scene.  Data goes to --out or
 stdout; diagnostics to stderr.  Monte-Carlo commands require an explicit
 --seed; there is no wall-clock seeding.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -33,6 +35,19 @@ EXIT_PLOT_DIM = 4
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _numeric_errors(command):
+    """Report a library ValueError raised by a command as exit code 2."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except ValueError as exc:
+            _fail(EXIT_NUMERIC, str(exc))
+
+    return run
 
 
 def _load_scene(path: str) -> EllipsoidSum:
@@ -79,6 +94,7 @@ def main():
 @click.argument("scene_path", type=click.Path())
 @click.option("--samples", "-k", default=360, show_default=True, help="Normal count.")
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
+@_numeric_errors
 def boundary(scene_path, samples, out):
     """Export boundary points and principal curvatures as CSV."""
     scene = _load_scene(scene_path)
@@ -123,6 +139,7 @@ def boundary(scene_path, samples, out):
 @click.option("--samples", default=1_000_000, show_default=True, help="MC sample count.")
 @click.option("--seed", default=None, type=int, help="MC seed (required for montecarlo).")
 @click.option("--out", type=click.Path(), default=None, help="JSON output path.")
+@_numeric_errors
 def volume(scene_path, method, resolution, samples, seed, out):
     """Volume of the Minkowski sum by the selected method."""
     scene = _load_scene(scene_path)
@@ -180,6 +197,7 @@ def volume(scene_path, method, resolution, samples, seed, out):
 @click.argument("scene_path", type=click.Path())
 @click.option("--resolution", "-r", default=None, type=int, help="Quadrature resolution.")
 @click.option("--out", type=click.Path(), default=None, help="JSON output path.")
+@_numeric_errors
 def bounds_cmd(scene_path, resolution, out):
     """Inner/outer ellipsoidal volume bounds and the comparison chain."""
     scene = _load_scene(scene_path)
@@ -199,17 +217,14 @@ def bounds_cmd(scene_path, resolution, out):
     show_default=True,
     help="Comma-separated curves: sum,inner,john,outer.",
 )
+@_numeric_errors
 def plot(scene_path, out, show):
     """Render a 2D scene (terms, sum boundary, bounding ellipses) as SVG."""
     scene = _load_scene(scene_path)
     if scene.dim != 2:
         _fail(EXIT_PLOT_DIM, "plot supports 2D scenes only")
     selected = tuple(s for s in show.split(",") if s)
-    try:
-        text = svgfig.render_scene_svg(scene, show=selected)
-    except ValueError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
-    _emit(text, out)
+    _emit(svgfig.render_scene_svg(scene, show=selected), out)
 
 
 @main.command("oracle")
@@ -217,15 +232,13 @@ def plot(scene_path, out, show):
 @click.option("--samples", default=1_000_000, show_default=True)
 @click.option("--seed", default=None, type=int, help="PRNG seed (required).")
 @click.option("--out", type=click.Path(), default=None, help="JSON output path.")
+@_numeric_errors
 def oracle_cmd(scene_path, samples, seed, out):
     """Monte-Carlo volume estimate (independent validation oracle)."""
     scene = _load_scene(scene_path)
     if seed is None:
         _fail(EXIT_NUMERIC, "--seed is required; wall-clock seeding is not supported")
-    try:
-        est = oracle.monte_carlo_volume(scene, samples, seed)
-    except ValueError as exc:
-        _fail(EXIT_NUMERIC, str(exc))
+    est = oracle.monte_carlo_volume(scene, samples, seed)
     _emit(_json_text(est.to_json()), out)
 
 

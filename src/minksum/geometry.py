@@ -222,8 +222,9 @@ def scene_from_json(obj) -> EllipsoidSum:
     if "dimension" not in obj or "ellipsoids" not in obj:
         raise SceneSchemaError("scene needs 'dimension' and 'ellipsoids' keys")
     dim = obj["dimension"]
-    if not isinstance(dim, int) or dim < 1:
-        raise SceneSchemaError("'dimension' must be a positive integer")
+    # bool is a subclass of int, so true would otherwise read as 1
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
+        raise SceneSchemaError("'dimension' must be an integer of at least 2")
     items = obj["ellipsoids"]
     if not isinstance(items, list) or not items:
         raise SceneSchemaError("'ellipsoids' must be a non-empty list")

@@ -5,6 +5,12 @@ they validate.  Monte-Carlo membership uses only the support function on
 a fixed direction grid; sampling is batched with per-batch substreams
 derived from (seed, batch index), so results do not depend on batch
 scheduling and are bitwise reproducible.
+
+The dense steps run in row blocks of ``_ROWS`` against all K grid nodes:
+the shell membership gap max_j (x.n_j - h_j) and the grid's
+nearest-neighbour cosine.  Each row is the same max over the same
+per-node values whatever the block size, so blocking changes no
+estimate, and working memory is O(_BATCH*N + _ROWS*K).
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ import numpy as np
 
 from . import bounds, geometry, quadrature
 from .geometry import EllipsoidSum
+from .spd import sym_eigen
 
 _BATCH = 1 << 15
+_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -40,29 +48,42 @@ class McEstimate:
         }
 
 
-def _membership_nodes(scene: EllipsoidSum, quad_for_membership):
-    if quad_for_membership is not None:
-        return np.asarray(quad_for_membership.nodes, dtype=float)
-    res = 720 if scene.dim == 2 else 64
-    return quadrature.build_quadrature(scene.dim, res).nodes
+def _membership_nodes(dim: int) -> np.ndarray:
+    res = 720 if dim == 2 else 64
+    return quadrature.build_quadrature(dim, res).nodes
+
+
+def _max_gap(
+    xs: np.ndarray, nodes: np.ndarray, h: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
+    """max_j (x.n_j - h_j) for each row x of xs, _ROWS rows at a time."""
+    gap = np.empty(xs.shape[0])
+    for start in range(0, xs.shape[0], _ROWS):
+        block = xs[start : start + _ROWS]
+        vals = buf[: block.shape[0]]
+        np.matmul(block, nodes.T, out=vals)
+        vals -= h
+        vals.max(axis=1, out=gap[start : start + _ROWS])
+    return gap
 
 
 def _grid_margin(nodes: np.ndarray, h_max: float) -> float:
     """Upper bound on how far the grid support polytope exceeds the body."""
     # nearest-neighbour angular radius of the grid, conservative by 2x
-    gram = nodes @ nodes.T
-    np.fill_diagonal(gram, -1.0)
-    cos_gap = float(np.min(np.max(gram, axis=1)))
+    buf = np.empty((_ROWS, nodes.shape[0]))
+    cos_gap = math.inf
+    for start in range(0, nodes.shape[0], _ROWS):
+        block = nodes[start : start + _ROWS]
+        rows = np.arange(block.shape[0])
+        gram = buf[: block.shape[0]]
+        np.matmul(block, nodes.T, out=gram)
+        gram[rows, start + rows] = -1.0
+        cos_gap = min(cos_gap, float(np.min(np.max(gram, axis=1))))
     half_angle = math.acos(min(cos_gap, 1.0))
     return 2.0 * h_max * (1.0 / math.cos(half_angle) - 1.0 + 1e-15)
 
 
-def monte_carlo_volume(
-    scene: EllipsoidSum,
-    samples: int,
-    seed: int,
-    quad_for_membership=None,
-) -> McEstimate:
+def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstimate:
     """Rejection-sampling volume estimate of the Minkowski sum.
 
     Samples uniformly in the axis-aligned bounding box of the
@@ -79,7 +100,7 @@ def monte_carlo_volume(
     half = np.sqrt(np.diag(outer.entries @ outer.entries))
     box_volume = float(np.prod(2.0 * half))
 
-    nodes = _membership_nodes(scene, quad_for_membership)
+    nodes = _membership_nodes(scene.dim)
     h = geometry.support_values(scene, nodes)
     margin = _grid_margin(nodes, float(np.max(h)))
 
@@ -90,11 +111,10 @@ def monte_carlo_volume(
     inner = bounds.inner_sum_matrix(scene)
     inner_q = np.linalg.inv(inner.entries @ inner.entries)
     outer_q = np.linalg.inv(outer.entries @ outer.entries)
-    from .spd import sym_eigen
-
     a_min = float(sym_eigen(outer.entries).eigenvalues[0])
     reject_level = (1.0 + margin / a_min) ** 2
 
+    buf = np.empty((_ROWS, nodes.shape[0]))
     hits = 0
     ambiguous = 0
     done = 0
@@ -109,8 +129,7 @@ def monte_carlo_volume(
         undecided = ~accept & (q_out <= reject_level)
         hits += int(np.count_nonzero(accept))
         if np.any(undecided):
-            xs = x[undecided]
-            gap = (xs @ nodes.T - h).max(axis=1)
+            gap = _max_gap(x[undecided], nodes, h, buf)
             inside = gap <= 0.0
             hits += int(np.count_nonzero(inside))
             ambiguous += int(np.count_nonzero(inside & (gap > -margin)))

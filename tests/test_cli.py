@@ -295,6 +295,32 @@ class TestErrorHandling:
         assert res.exit_code == 2
         assert res.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["volume", "--method", "montecarlo", "--samples", "10", "--seed", "1"],
+            ["volume", "-r", "2"],
+            ["bounds", "-r", "2"],
+        ],
+        ids=["volume-mc-samples", "volume-resolution", "bounds-resolution"],
+    )
+    def test_library_value_error_exits_2(self, runner, tmp_path, args):
+        path = write_scene(tmp_path, UNIT_BALL_2D)
+        res = runner.invoke(main, [args[0], path, *args[1:]])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("dim", [True, 1])
+    def test_bad_dimension_is_schema_error(self, runner, tmp_path, dim):
+        path = write_scene(
+            tmp_path, {"dimension": dim, "ellipsoids": [{"matrix": [[1.0]]}]}
+        )
+        res = runner.invoke(main, ["volume", path])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+
     def test_write_failure(self, runner, tmp_path):
         path = write_scene(tmp_path, UNIT_BALL_2D)
         res = runner.invoke(main, ["volume", path, "--out", "/nonexistent/dir/out.json"])

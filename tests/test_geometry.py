@@ -265,6 +265,12 @@ class TestSceneJson:
         with pytest.raises(SceneValidationError, match="ellipsoid 1"):
             scene_from_json(obj)
 
+    @pytest.mark.parametrize("dim", [True, 1, 0, 2.0])
+    def test_rejects_bad_dimension(self, dim):
+        obj = {"dimension": dim, "ellipsoids": [{"matrix": [[1.0]]}]}
+        with pytest.raises(SceneSchemaError, match="dimension"):
+            scene_from_json(obj)
+
     def test_wrong_shape(self):
         obj = {"dimension": 3, "ellipsoids": [{"matrix": [[1, 0], [0, 1]]}]}
         with pytest.raises(SceneSchemaError):

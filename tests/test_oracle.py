@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_scene
 from minksum.geometry import EllipsoidSum
-from minksum.oracle import McEstimate, monte_carlo_volume, polyline_perimeter
+from minksum.oracle import (
+    McEstimate,
+    _grid_margin,
+    _membership_nodes,
+    monte_carlo_volume,
+    polyline_perimeter,
+)
 from minksum.quadrature import build_quadrature, volume_divergence
 from minksum.steiner import area_sum_2d_pair, elliptic_E
 from minksum.spd import SpdMatrix
@@ -73,6 +80,77 @@ class TestMonteCarloVolume:
         sc = EllipsoidSum.from_matrices([np.eye(2)])
         with pytest.raises(ValueError):
             monte_carlo_volume(sc, 10, seed=0)
+
+
+def spd_with_condition(rng, dim, cond):
+    """Random SPD matrix with log-spaced spectrum of condition number cond."""
+    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    lam = np.geomspace(1.0, cond, dim) / math.sqrt(cond)
+    return q @ np.diag(lam) @ q.T
+
+
+class TestMonteCarloGolden:
+    # McEstimate (value, std_error, ambiguous) captured from the unblocked
+    # membership kernel (one dense x @ nodes.T per batch, full Gram margin)
+    # before the row-blocked rewrite.  The scene of each case is drawn from
+    # default_rng(seed).  Undecided samples per 32,768-sample batch: case 1
+    # has 2 and 5 (a lone partial block), none of the others is a multiple
+    # of 128; cases 3 and 6 span three and four batches.
+    CASES = [
+        (2, 1, 1.0, 50_000, 11, 3.143040000000001, 0.007339563418078764, 0),
+        (2, 2, 10.0, 40_000, 12, 43.81330496970518, 0.19946763366287143, 3),
+        (2, 4, 300.0, 70_000, 13, 5660.463012548307, 17.76382064100742, 8),
+        (2, 6, 3e3, 40_000, 14, 122663.99392372783, 532.8645058387815, 4),
+        (3, 1, 30.0, 40_000, 15, 4.341428307896148, 0.08897681092446118, 59),
+        (3, 2, 3.0, 100_000, 16, 37.59397401058961, 0.15652417559727216, 448),
+        (3, 3, 3e3, 40_000, 17, 119709.98682185779, 2605.592066827922, 174),
+        (3, 5, 100.0, 40_000, 18, 47494.87891551425, 371.05724039163255, 151),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"N{c[0]}-m{c[1]}-s{c[4]}")
+    def test_bitwise_unchanged(self, case):
+        dim, m, cond, samples, seed, value, std_error, ambiguous = case
+        rng = np.random.default_rng(seed)
+        sc = EllipsoidSum.from_matrices(
+            [spd_with_condition(rng, dim, cond) for _ in range(m)]
+        )
+        assert monte_carlo_volume(sc, samples, seed) == McEstimate(
+            value=value,
+            std_error=std_error,
+            samples=samples,
+            seed=seed,
+            ambiguous=ambiguous,
+        )
+
+    @staticmethod
+    def full_gram_margin(nodes, h_max):
+        gram = nodes @ nodes.T
+        np.fill_diagonal(gram, -1.0)
+        cos_gap = float(np.min(np.max(gram, axis=1)))
+        half_angle = math.acos(min(cos_gap, 1.0))
+        return 2.0 * h_max * (1.0 / math.cos(half_angle) - 1.0 + 1e-15)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            _membership_nodes(2),
+            _membership_nodes(3),
+            build_quadrature(3, 23).nodes,
+        ],
+        ids=["default-2d", "default-3d", "3d-res23"],
+    )
+    def test_grid_margin_matches_full_gram(self, nodes):
+        assert _grid_margin(nodes, 2.5) == self.full_gram_margin(nodes, 2.5)
+
+    def test_peak_memory_bounded(self):
+        sc = random_scene(np.random.default_rng(90), 3, 3)
+        tracemalloc.start()
+        try:
+            monte_carlo_volume(sc, 400_000, seed=19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestPolylinePerimeter:
