@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 
 import click
@@ -104,7 +103,9 @@ def boundary(scene_path, samples, out):
         theta = 2.0 * np.pi * np.arange(samples) / samples
         normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     else:
-        res = max(4, math.isqrt(samples - 1) + 1)
+        res = 4
+        while res ** (scene.dim - 1) < samples:
+            res += 1
         normals = quadrature.build_quadrature(scene.dim, res).nodes[:samples]
 
     from . import curvature as curv

@@ -1,5 +1,8 @@
 """Brute-force validation oracles: Monte-Carlo volume, polyline perimeter.
 
+Both support low dimensions only: the Monte-Carlo volume N in {2, 3}
+(its direction grid has 64^(N-1) nodes), the perimeter N = 2.
+
 These estimators are intentionally independent of the closed-form paths
 they validate.  Monte-Carlo membership uses only the support function on
 a fixed direction grid; sampling is batched with per-batch substreams
@@ -92,6 +95,8 @@ def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstima
     below the grid margin.  Samples in the thin ambiguous band are counted
     as inside and reported separately (conservative).
     """
+    if scene.dim > 3:
+        raise ValueError("the Monte Carlo oracle supports N in {2, 3} only")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     seed = int(seed)

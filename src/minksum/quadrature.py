@@ -1,9 +1,11 @@
 """Spherical quadrature and surface integrals over Minkowski-sum boundaries.
 
 A boundary integral of f over the sum is pulled back to the sphere by the
-Gauss map: integral of f(x(n)) det C~(n) dsigma(n).  N = 2 and N = 3 are
-first class (uniform angles, Gauss-Legendre x uniform azimuth); higher N
-uses a product-rule fallback with no accuracy guarantee.
+Gauss map: integral of f(x(n)) det C~(n) dsigma(n).  The sphere rule is
+one exact product rule for every N: the trapezoid in azimuth times
+Gauss-Gegenbauer rules in the polar cosines (Atkinson & Han, Spherical
+Harmonics and Approximations on the Unit Sphere, 2012), the Gauss rules
+built by the Golub-Welsch eigenvalue method.
 
 Node evaluation is vectorized; sums are taken over arrays in fixed node
 order, so repeated runs produce bitwise-identical results.
@@ -39,67 +41,48 @@ class SphereQuadrature:
     weights: np.ndarray
 
 
-def build_quadrature(dim: int, resolution: int) -> SphereQuadrature:
-    """Quadrature on S^(dim-1).
+def _gauss_gegenbauer(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [-1, 1] for the weight (1 - u^2)^(alpha - 1/2).
 
-    dim = 2: `resolution` uniform angles with equal weights.
-    dim = 3: Gauss-Legendre in the polar cosine x uniform azimuth,
-    resolution^2 nodes.
-    dim > 3: product rule over hyperspherical angles (weights renormalized
-    to the exact sphere measure; accuracy not guaranteed).
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix and
+    the weights mu_0 times the squared first eigenvector components.
+    """
+    k = np.arange(1.0, n)
+    off = np.sqrt(k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1)))
+    u, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(alpha + 0.5) / math.gamma(alpha + 1.0)
+    return u, mu0 * vecs[0] ** 2
+
+
+def build_quadrature(dim: int, resolution: int) -> SphereQuadrature:
+    """Quadrature on S^(dim-1) with resolution^(dim-1) nodes.
+
+    `resolution` uniform azimuths with equal weights on the circle; each
+    further dimension appends a polar cosine u from the `resolution`-point
+    Gauss-Gegenbauer rule for (1 - u^2)^((k-3)/2) and scales the previous
+    nodes by sqrt(1 - u^2), k being the new ambient dimension.  The rule
+    integrates polynomials of degree < resolution exactly, so the weights
+    sum to the sphere measure.  At dim = 3 the node (i, j) is
+    (rho_i cos psi_j, rho_i sin psi_j, u_i), row i * resolution + j.
     """
     if dim < 2:
         raise ValueError("quadrature requires dim >= 2")
     if resolution < 4:
         raise ValueError("resolution must be at least 4")
 
-    if dim == 2:
-        theta = 2.0 * np.pi * np.arange(resolution) / resolution
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(resolution, 2.0 * np.pi / resolution)
-        return SphereQuadrature(2, nodes, weights)
-
-    if dim == 3:
-        u, wu = np.polynomial.legendre.leggauss(resolution)
-        psi = 2.0 * np.pi * np.arange(resolution) / resolution
+    theta = 2.0 * np.pi * np.arange(resolution) / resolution
+    nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    weights = np.full(resolution, 2.0 * np.pi / resolution)
+    for k in range(3, dim + 1):
+        u, w = _gauss_gegenbauer(resolution, (k - 2) / 2.0)
         rho = np.sqrt(1.0 - u**2)
-        nodes = np.empty((resolution * resolution, 3))
-        weights = np.empty(resolution * resolution)
-        cs, sn = np.cos(psi), np.sin(psi)
-        for i in range(resolution):
-            sl = slice(i * resolution, (i + 1) * resolution)
-            nodes[sl, 0] = rho[i] * cs
-            nodes[sl, 1] = rho[i] * sn
-            nodes[sl, 2] = u[i]
-            weights[sl] = wu[i] * 2.0 * np.pi / resolution
-        return SphereQuadrature(3, nodes, weights)
-
-    # Product-rule fallback: Gauss-Legendre in cos(phi_i) with the
-    # (1 - u^2)^((dim-2-i)/2) chart factor folded into the weights.
-    u, wu = np.polynomial.legendre.leggauss(resolution)
-    grids = []
-    for i in range(dim - 2):
-        power = (dim - 2 - (i + 1)) / 2.0
-        grids.append((u, wu * (1.0 - u**2) ** power))
-    psi = 2.0 * np.pi * np.arange(resolution) / resolution
-
-    idx = np.indices([resolution] * (dim - 1)).reshape(dim - 1, -1).T
-    nodes = np.empty((idx.shape[0], dim))
-    weights = np.ones(idx.shape[0])
-    for row, multi in enumerate(idx):
-        sin_prod = 1.0
-        w = 1.0
-        for axis in range(dim - 2):
-            ui, wi = grids[axis][0][multi[axis]], grids[axis][1][multi[axis]]
-            nodes[row, axis] = sin_prod * ui
-            sin_prod *= math.sqrt(max(1.0 - ui * ui, 0.0))
-            w *= wi
-        ang = psi[multi[dim - 2]]
-        nodes[row, dim - 2] = sin_prod * math.cos(ang)
-        nodes[row, dim - 1] = sin_prod * math.sin(ang)
-        weights[row] = w * 2.0 * np.pi / resolution
-    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
-    weights *= sphere_measure(dim) / float(np.sum(weights))
+        nodes = np.column_stack(
+            [
+                (rho[:, None, None] * nodes).reshape(-1, k - 1),
+                np.repeat(u, len(nodes)),
+            ]
+        )
+        weights = np.outer(w, weights).ravel()
     return SphereQuadrature(dim, nodes, weights)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import bounds, geometry
+from . import bounds, geometry, quadrature
 from .geometry import EllipsoidSum
 
 CURVE_POINTS = 720
@@ -23,11 +23,6 @@ COLORS = {
     "john": "red",
     "outer": "#ff8c00",
 }
-
-
-def _unit_normals(count: int) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(count) / count
-    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
 def _fmt(value: float) -> str:
@@ -52,7 +47,7 @@ def render_scene_svg(scene: EllipsoidSum, show=("sum", "inner", "john")) -> str:
     if unknown:
         raise ValueError(f"unknown curve selection: {unknown}")
 
-    ns = _unit_normals(CURVE_POINTS)
+    ns = quadrature.build_quadrature(2, CURVE_POINTS).nodes
     curves: list[tuple[np.ndarray, str]] = []
     for a in scene.matrices:
         single = EllipsoidSum.from_matrices([a])

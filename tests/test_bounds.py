@@ -451,6 +451,17 @@ class TestVolumeBounds:
                     rep = volume_bounds(sc)
                     assert rep.lower_volume == rep.upper_volume
 
+    def test_single_ellipsoid_4d_default_resolution(self):
+        # the chain's first link is the divergence volume to the 1/N
+        rng = np.random.default_rng(78)
+        quad = quadrature.default_quadrature(4)
+        for _ in range(20):
+            a = random_spd(rng, 4, 0.5, 2.0)
+            rep = volume_bounds(EllipsoidSum.from_matrices([a]), quad)
+            exact = quadrature.unit_ball_volume(4) * float(np.linalg.det(a))
+            assert rep.bm_chain[0] ** 4 == pytest.approx(exact, rel=1e-10)
+            assert rep.lower_volume == rep.upper_volume
+
     def test_example_pair_lower(self, example_scene):
         rep = volume_bounds(example_scene)
         assert rep.lower_volume >= 113.14 * (1 - 5e-3)

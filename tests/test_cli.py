@@ -97,6 +97,20 @@ class TestBoundaryCommand:
         assert lines[0] == "n_1,n_2,n_3,x_1,x_2,x_3,kappa_1,kappa_2"
         assert len(lines) == 51
 
+    def test_4d_normals_cover_sphere(self, runner, tmp_path):
+        path = write_scene(
+            tmp_path,
+            {"dimension": 4, "ellipsoids": [{"matrix": np.eye(4).tolist()}]},
+        )
+        res = runner.invoke(main, ["boundary", path, "--samples", "360"])
+        assert res.exit_code == 0
+        rows = np.array(
+            [[float(v) for v in line.split(",")] for line in res.output.strip().split("\n")[1:]]
+        )
+        assert rows.shape == (360, 11)
+        normals = rows[:, :4]
+        assert np.all(normals.max(axis=0) > 0) and np.all(normals.min(axis=0) < 0)
+
 
 class TestVolumeCommand:
     def test_divergence_single(self, runner, tmp_path):
@@ -261,6 +275,24 @@ class TestOracleCommand:
         payload = json.loads(res.output)
         assert abs(payload["value"] - math.pi) <= 4 * payload["std_error"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["oracle", "--samples", "1000", "--seed", "1"],
+            ["volume", "--method", "montecarlo", "--samples", "1000", "--seed", "1"],
+        ],
+        ids=["oracle", "volume-mc"],
+    )
+    def test_4d_rejected(self, runner, tmp_path, args):
+        path = write_scene(
+            tmp_path,
+            {"dimension": 4, "ellipsoids": [{"matrix": np.eye(4).tolist()}]},
+        )
+        res = runner.invoke(main, [args[0], path, *args[1:]])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "N in {2, 3}" in res.stderr
+
 
 class TestErrorHandling:
     def test_missing_file(self, runner):
@@ -357,8 +389,11 @@ class TestStartup:
     def test_import_skips_scipy_optimize(self):
         src = str(Path(minksum.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, minksum.cli; print('scipy.optimize' in sys.modules)"
+        code = (
+            "import sys, minksum.cli; minksum.cli.quadrature.build_quadrature(3, 8); "
+            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')])"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False]"

@@ -81,6 +81,11 @@ class TestMonteCarloVolume:
         with pytest.raises(ValueError):
             monte_carlo_volume(sc, 10, seed=0)
 
+    def test_rejects_dim_above_3(self):
+        sc = EllipsoidSum.from_matrices([np.eye(4)])
+        with pytest.raises(ValueError, match="N in"):
+            monte_carlo_volume(sc, 1000, seed=0)
+
 
 def spd_with_condition(rng, dim, cond):
     """Random SPD matrix with log-spaced spectrum of condition number cond."""

@@ -11,6 +11,7 @@ from minksum.quadrature import (
     gaussian_curvature_integral,
     mean_curvature_integral,
     surface_area,
+    sphere_measure,
     surface_integral,
     unit_ball_volume,
     volume_divergence,
@@ -56,6 +57,16 @@ class TestBuildQuadrature:
         quad = build_quadrature(3, 32)
         mom = float(np.sum(quad.weights * quad.nodes[:, 0] ** 2))
         assert mom == pytest.approx(4 * math.pi / 3, abs=1e-10)
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_fourth_moments_exact(self, dim):
+        # resolution 8 is exact to polynomial degree 15 in every coordinate
+        quad = build_quadrature(dim, 8)
+        n, sigma = quad.nodes, sphere_measure(dim)
+        mixed = float(np.sum(quad.weights * n[:, 0] ** 2 * n[:, -1] ** 2))
+        pure = float(np.sum(quad.weights * n[:, 1] ** 4))
+        assert mixed == pytest.approx(sigma / (dim * (dim + 2)), rel=1e-14)
+        assert pure == pytest.approx(3 * sigma / (dim * (dim + 2)), rel=1e-14)
 
     def test_rejects_small_resolution(self):
         with pytest.raises(ValueError):
