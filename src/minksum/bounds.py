@@ -87,9 +87,8 @@ def containment_check(candidate: SpdMatrix, scene: EllipsoidSum, resolution=None
     gap = geometry.max_support_gap(
         scene,
         nodes,
-        np.linalg.norm(nodes @ c, axis=1),
-        lambda n: np.linalg.norm(c @ n),
-        lambda n: c2 @ n / np.linalg.norm(c @ n),
+        lambda ns: np.linalg.norm(ns @ c, axis=1),
+        lambda ns: ns @ c2 / np.linalg.norm(ns @ c, axis=1, keepdims=True),
     )
     return gap <= 1e-9 * scale
 
@@ -126,22 +125,25 @@ def john_inner_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     return SpdMatrix(_sqrt_raw(p.entries + 2.0 * g.entries + q.entries))
 
 
-def _bracketings(mats: tuple[SpdMatrix, ...]):
-    """All F-composites over distinct binary bracketing orders."""
-    if len(mats) == 1:
-        yield mats[0]
-        return
-    indices = range(len(mats))
-    for size in range(1, len(mats)):
-        for left_idx in itertools.combinations(indices, size):
-            if 0 not in left_idx:
-                continue  # fix element 0 on the left to avoid mirror duplicates
-            right_idx = tuple(i for i in indices if i not in left_idx)
-            left = tuple(mats[i] for i in left_idx)
-            right = tuple(mats[i] for i in right_idx)
-            for lt in _bracketings(left):
-                for rt in _bracketings(right):
-                    yield john_inner_pair(lt, rt)
+def _bracketings(mats: tuple[SpdMatrix, ...]) -> list[SpdMatrix]:
+    """All F-composites over distinct binary bracketing orders, memoised by index subset."""
+    memo = {(i,): [a] for i, a in enumerate(mats)}
+
+    def composites(subset):
+        if subset not in memo:
+            out = []
+            for size in range(1, len(subset)):
+                for left in itertools.combinations(subset, size):
+                    if left[0] != subset[0]:
+                        continue  # fix the first element on the left to avoid mirror duplicates
+                    right = tuple(i for i in subset if i not in left)
+                    for lt in composites(left):
+                        for rt in composites(right):
+                            out.append(john_inner_pair(lt, rt))
+            memo[subset] = out
+        return memo[subset]
+
+    return composites(tuple(range(len(mats))))
 
 
 def john_inner_recursive(scene: EllipsoidSum) -> SpdMatrix:
@@ -149,7 +151,9 @@ def john_inner_recursive(scene: EllipsoidSum) -> SpdMatrix:
 
     All binary bracketing orders are evaluated for m <= 4; beyond that a
     greedy largest-determinant pairing is used.  Only "best found" is
-    claimed, not optimality.
+    claimed, not optimality.  No pair composite is computed twice: the
+    bracketings share sub-composites, and each greedy round evaluates
+    only the pairs that involve the previous round's composite.
     """
     if scene.m < 3:
         raise ValueError("john_inner_recursive requires at least 3 ellipsoids")
@@ -162,17 +166,22 @@ def john_inner_recursive(scene: EllipsoidSum) -> SpdMatrix:
             if cand.det() > best.det():
                 best = cand
     else:
-        pool = list(mats)
+        # pool entries are (label, matrix); a composite is labelled by its parts' labels
+        pool = list(enumerate(mats))
+        pairs = {}
         while len(pool) > 1:
             best_pair, best_det = None, -np.inf
             for i in range(len(pool) - 1):
                 for j in range(i + 1, len(pool)):
-                    f = john_inner_pair(pool[i], pool[j])
+                    key = (pool[i][0], pool[j][0])
+                    if key not in pairs:
+                        pairs[key] = john_inner_pair(pool[i][1], pool[j][1])
+                    f = pairs[key]
                     if f.det() > best_det:
-                        best_pair, best_det = (i, j, f), f.det()
-            i, j, f = best_pair
-            pool = [p for k, p in enumerate(pool) if k not in (i, j)] + [f]
-        best = pool[0]
+                        best_pair, best_det = (i, j, key), f.det()
+            i, j, key = best_pair
+            pool = [p for k, p in enumerate(pool) if k not in (i, j)] + [(key, pairs[key])]
+        best = pool[0][1]
         plain = inner_sum_matrix(scene)
         if plain.det() > best.det():
             best = plain

@@ -7,9 +7,9 @@ JSON report), plot (deterministic SVG figure, 2D only), oracle
 
 Exit codes: 1 scene schema error, 2 numeric validation error (any
 ValueError a command raises), 3 I/O error, 4 plot requested for a non-2D
-scene.  Data goes to --out or
-stdout; diagnostics to stderr.  Monte-Carlo commands require an explicit
---seed; there is no wall-clock seeding.
+scene, 5 a bound violated a guaranteed inequality (BoundsError).  Data
+goes to --out or stdout; diagnostics to stderr.  Monte-Carlo commands
+require an explicit --seed; there is no wall-clock seeding.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_SCHEMA = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
 EXIT_PLOT_DIM = 4
+EXIT_BOUNDS = 5
 
 
 def _fail(code: int, message: str):
@@ -37,7 +38,7 @@ def _fail(code: int, message: str):
 
 
 def _numeric_errors(command):
-    """Report a library ValueError raised by a command as exit code 2."""
+    """Report a library ValueError as exit code 2 and a BoundsError as 5."""
 
     @functools.wraps(command)
     def run(*args, **kwargs):
@@ -45,6 +46,8 @@ def _numeric_errors(command):
             return command(*args, **kwargs)
         except ValueError as exc:
             _fail(EXIT_NUMERIC, str(exc))
+        except bounds.BoundsError as exc:
+            _fail(EXIT_BOUNDS, str(exc))
 
     return run
 

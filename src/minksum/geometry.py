@@ -154,38 +154,35 @@ def transform_scene(scene: EllipsoidSum, s) -> EllipsoidSum:
     return EllipsoidSum.from_matrices(mats)
 
 
-def max_support_gap(scene: EllipsoidSum, nodes, grid_support, support, gradient) -> float:
+def max_support_gap(scene: EllipsoidSum, nodes, support, gradient) -> float:
     """Refined max over unit directions n of s(n) - h(n).
 
-    s is the support function of a candidate body: `grid_support` holds
-    its values at the rows of `nodes`, `support` and `gradient` evaluate
-    it and its gradient at one direction.  h is the support function of
-    the sum.  The max is located on the grid and refined by 20
-    projected-gradient steps with an adaptive step from each of the 5
-    best nodes, so the result is deterministic.
+    s is the support function of a candidate body and h that of the sum;
+    `support` and `gradient` evaluate s and its gradient at rows of
+    directions.  The max is located on the grid of `nodes` and refined,
+    deterministically, by 20 adaptive projected-gradient steps from each
+    of the 5 best nodes.  The 5 ascents run in lockstep as the rows of one
+    array; a row stops once its projected gradient vanishes.
     """
-    gaps = grid_support - support_values(scene, nodes)
-    best = -np.inf
-    for k in np.argsort(gaps, kind="stable")[-5:]:
-        n = nodes[k].copy()
-        val = gaps[k]
-        step = 0.05
-        for _ in range(20):
-            grad = gradient(n) - sum_boundary_point(scene, n)
-            grad -= n * (n @ grad)
-            gn = np.linalg.norm(grad)
-            if gn == 0.0:
-                break
-            cand = n + step * grad / gn
-            cand /= np.linalg.norm(cand)
-            v = float(support(cand) - support_value(scene, cand))
-            if v > val:
-                n, val = cand, v
-                step *= 1.5
-            else:
-                step *= 0.5
-        best = max(best, val)
-    return best
+    gaps = support(nodes) - support_values(scene, nodes)
+    top = np.argsort(gaps, kind="stable")[-5:]
+    n, val = nodes[top], gaps[top]
+    step = np.full(len(top), 0.05)
+    live = np.ones(len(top), dtype=bool)
+    for _ in range(20):
+        grad = gradient(n) - boundary_points(scene, n)
+        grad -= n * np.sum(n * grad, axis=1, keepdims=True)
+        gn = np.linalg.norm(grad, axis=1)
+        live &= gn != 0.0
+        if not live.any():
+            break
+        cand = n + step[:, None] * grad / np.where(live, gn, 1.0)[:, None]
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        v = support(cand) - support_values(scene, cand)
+        gain = live & (v > val)
+        n[gain], val[gain] = cand[gain], v[gain]
+        step *= np.where(gain, 1.5, 0.5)
+    return float(np.max(val))
 
 
 def contains_point(scene: EllipsoidSum, x, grid, tol: float | None = None) -> str:
@@ -199,7 +196,7 @@ def contains_point(scene: EllipsoidSum, x, grid, tol: float | None = None) -> st
     nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
     if tol is None:
         tol = 1e-8 * 2.0 * float(np.max(support_values(scene, nodes)))
-    best = max_support_gap(scene, nodes, nodes @ x, lambda n: x @ n, lambda n: x)
+    best = max_support_gap(scene, nodes, lambda ns: ns @ x, lambda ns: x)
     if best > tol:
         return "outside"
     if best < -tol:

@@ -93,12 +93,16 @@ def _sym_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _spectral(eig: SymEigen, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^T for the eigenvectors V of `eig`, symmetrized."""
+    V = eig.eigenvectors
+    return _sym_part(V @ np.diag(values) @ V.T)
+
+
 def _sqrt_raw(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a symmetric PSD array (no SPD validation)."""
     eig = sym_eigen(_sym_part(mat))
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    V = eig.eigenvectors
-    return _sym_part(V @ np.diag(np.sqrt(lam)) @ V.T)
+    return _spectral(eig, np.sqrt(np.clip(eig.eigenvalues, 0.0, None)))
 
 
 def spd_sqrt(mat: SpdMatrix) -> SpdMatrix:
@@ -108,8 +112,7 @@ def spd_sqrt(mat: SpdMatrix) -> SpdMatrix:
 
 def _inv_sqrt_raw(mat: np.ndarray) -> np.ndarray:
     eig = sym_eigen(_sym_part(mat))
-    V = eig.eigenvectors
-    return _sym_part(V @ np.diag(1.0 / np.sqrt(eig.eigenvalues)) @ V.T)
+    return _spectral(eig, 1.0 / np.sqrt(eig.eigenvalues))
 
 
 def geometric_mean(p: SpdMatrix, q: SpdMatrix) -> SpdMatrix:
@@ -117,10 +120,13 @@ def geometric_mean(p: SpdMatrix, q: SpdMatrix) -> SpdMatrix:
 
     Midpoint of the geodesic from P to Q in the SPD manifold; symmetric
     in its arguments, and equal to P^(1/2) Q^(1/2) when P and Q commute.
+    P^(1/2) and P^(-1/2) come from one eigendecomposition of P.
     """
     if p.dim != q.dim:
         raise SpdError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    ph = _sqrt_raw(p.entries)
-    phi = _inv_sqrt_raw(p.entries)
+    eig = sym_eigen(_sym_part(p.entries))
+    root = np.sqrt(eig.eigenvalues)
+    ph = _spectral(eig, root)
+    phi = _spectral(eig, 1.0 / root)
     inner = _sqrt_raw(phi @ q.entries @ phi)
     return SpdMatrix(_sym_part(ph @ inner @ ph))

@@ -1,11 +1,15 @@
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_rotation, random_scene, random_spd, random_unit
-from minksum import quadrature
+from minksum import bounds, quadrature
 from minksum.bounds import (
+    BoundsError,
     beta_residual,
     brunn_minkowski_chain,
     containment_check,
@@ -23,13 +27,35 @@ from minksum.bounds import (
     outer_gamma_matrix,
     volume_bounds,
 )
-from minksum.bounds import _pair_spectrum
+from minksum.bounds import _bracketings, _pair_spectrum
 from minksum.geometry import EllipsoidSum, support_values
 from minksum.spd import SpdMatrix
 
 
 def pair_scene(a, b):
     return EllipsoidSum.from_matrices([a, b])
+
+
+GOLDEN_BOUNDS = Path(__file__).with_name("golden_bounds.json")
+
+
+def golden_scenes():
+    """24 seeded scenes: N = 2, 3; m = 3..6; term condition numbers in [1, 3e3].
+
+    Each (N, m) cell has three scenes whose term condition numbers are
+    log-uniform on the low, middle and high third of [1, 3e3].
+    """
+    rng = np.random.default_rng(7007)
+    for dim in (2, 3):
+        for m in range(3, 7):
+            for stratum in range(3):
+                mats = []
+                for _ in range(m):
+                    kappa = 3e3 ** ((stratum + rng.uniform()) / 3.0)
+                    q = random_rotation(rng, dim)
+                    lam = rng.uniform(0.5, 2.0) * np.geomspace(1.0, kappa, dim)
+                    mats.append(q @ np.diag(lam) @ q.T)
+                yield EllipsoidSum.from_matrices(mats)
 
 
 class TestInnerSum:
@@ -181,6 +207,49 @@ class TestJohnInnerRecursive:
         best = john_inner_recursive(sc)
         assert containment_check(best, sc)
         assert best.det() >= inner_sum_matrix(sc).det() - 1e-12
+
+
+def reference_bracketings(mats):
+    """Reference: every sub-composite recomputed for every split, with no memo."""
+    if len(mats) == 1:
+        yield mats[0]
+        return
+    indices = range(len(mats))
+    for size in range(1, len(mats)):
+        for left_idx in itertools.combinations(indices, size):
+            if 0 not in left_idx:
+                continue
+            right_idx = tuple(i for i in indices if i not in left_idx)
+            left = tuple(mats[i] for i in left_idx)
+            right = tuple(mats[i] for i in right_idx)
+            for lt in reference_bracketings(left):
+                for rt in reference_bracketings(right):
+                    yield john_inner_pair(lt, rt)
+
+
+class TestCompositeMemo:
+    def test_bracketings_match_reference(self):
+        rng = np.random.default_rng(90)
+        for dim, m in ((2, 3), (3, 3), (2, 4), (3, 4)):
+            mats = tuple(SpdMatrix(a) for a in random_scene(rng, dim, m).matrices)
+            got = _bracketings(mats)
+            ref = list(reference_bracketings(mats))
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert np.array_equal(g.entries, r.entries)
+
+    @pytest.mark.parametrize("m, evaluations", [(3, 6), (4, 33), (5, 16), (6, 25)])
+    def test_pair_evaluation_count(self, monkeypatch, m, evaluations):
+        # without the memos these scenes take 6 / 45 / 20 / 35 evaluations
+        calls = []
+
+        def counted(a, b):
+            calls.append(None)
+            return john_inner_pair(a, b)
+
+        monkeypatch.setattr(bounds, "john_inner_pair", counted)
+        john_inner_recursive(random_scene(np.random.default_rng(91), 2, m))
+        assert len(calls) == evaluations
 
 
 class TestKvInnerFamily:
@@ -477,6 +546,20 @@ class TestVolumeBounds:
             assert rep.lower_volume <= vol + 1e-9 * vol
             assert vol <= rep.upper_volume + 1e-9 * vol
             assert np.all(np.diff(rep.bm_chain) <= 1e-9 * rep.bm_chain[0])
+
+    def test_golden_reports(self):
+        # reports captured before the lockstep ascent, the composite memo
+        # and the shared eigendecomposition; all three keep every bit
+        golden = json.loads(GOLDEN_BOUNDS.read_text())
+        scenes = list(golden_scenes())
+        assert len(scenes) == len(golden) == 24
+        for sc, case in zip(scenes, golden):
+            assert (sc.dim, sc.m) == (case["dim"], case["m"])
+            if case["report"] is None:
+                with pytest.raises(BoundsError):
+                    volume_bounds(sc)
+            else:
+                assert volume_bounds(sc).to_json() == case["report"]
 
     def test_json_field_names(self, example_scene):
         rep = volume_bounds(example_scene)

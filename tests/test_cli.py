@@ -353,6 +353,23 @@ class TestErrorHandling:
         assert res.stdout == ""
         assert res.stderr.startswith("error: ")
 
+    def test_bounds_error_exits_5(self, tmp_path):
+        # the default quadrature overestimates this ellipse's area by 17%,
+        # so the sandwich check fails; a fresh process shows the real stderr
+        path = write_scene(
+            tmp_path, {"dimension": 2, "ellipsoids": [{"matrix": [[1.0, 0.0], [0.0, 100.0]]}]}
+        )
+        src = str(Path(minksum.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "minksum.cli", "bounds", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode == 5
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: bound sandwich violated")
+        assert "Traceback" not in out.stderr
+
     def test_write_failure(self, runner, tmp_path):
         path = write_scene(tmp_path, UNIT_BALL_2D)
         res = runner.invoke(main, ["volume", path, "--out", "/nonexistent/dir/out.json"])

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_scene, random_spd, random_unit
 from minksum import quadrature
+from minksum.bounds import containment_check, inner_sum_matrix
 from minksum.geometry import (
     EllipsoidSum,
     SceneSchemaError,
@@ -12,10 +13,12 @@ from minksum.geometry import (
     contains_point,
     ellipsoid_from_general,
     legacy_pair_boundary,
+    max_support_gap,
     scene_from_json,
     scene_to_json,
     sum_boundary_point,
     support_value,
+    support_values,
     transform_scene,
 )
 from minksum.spd import SpdMatrix
@@ -215,6 +218,80 @@ class TestContainsPoint:
             x = sum_boundary_point(sc, random_unit(rng, dim))
             assert contains_point(sc, 1.001 * x, grid, tol=1e-6) == "outside"
             assert contains_point(sc, 0.999 * x, grid, tol=1e-6) == "inside"
+
+
+def sequential_max_support_gap(scene, nodes, grid_support, support, gradient):
+    """Reference: the same ascent run one direction at a time.
+
+    `grid_support` holds the candidate's support at the rows of `nodes`;
+    `support` and `gradient` take a single direction.
+    """
+    gaps = grid_support - support_values(scene, nodes)
+    best = -np.inf
+    for k in np.argsort(gaps, kind="stable")[-5:]:
+        n = nodes[k].copy()
+        val = gaps[k]
+        step = 0.05
+        for _ in range(20):
+            grad = gradient(n) - sum_boundary_point(scene, n)
+            grad -= n * (n @ grad)
+            gn = np.linalg.norm(grad)
+            if gn == 0.0:
+                break
+            cand = n + step * grad / gn
+            cand /= np.linalg.norm(cand)
+            v = float(support(cand) - support_value(scene, cand))
+            if v > val:
+                n, val = cand, v
+                step *= 1.5
+            else:
+                step *= 0.5
+        best = max(best, val)
+    return best
+
+
+class TestMaxSupportGap:
+    RESOLUTION = {2: 720, 3: 64, 4: 16}
+
+    def test_lockstep_matches_sequential(self):
+        # 200 candidate matrices and 200 points, scaled to sit within a few
+        # percent of the boundary so both decisions are tested near their slack
+        rng = np.random.default_rng(24)
+        grids = {d: quadrature.build_quadrature(d, r).nodes for d, r in self.RESOLUTION.items()}
+        for k in range(400):
+            dim = 2 + k % 3
+            sc = random_scene(rng, dim, int(rng.integers(1, 6)))
+            nodes = grids[dim]
+            h = support_values(sc, nodes)
+            scale = float(np.max(h))
+            if k % 2:
+                x = rng.uniform(0.99, 1.01) * sum_boundary_point(sc, random_unit(rng, dim))
+                got = max_support_gap(sc, nodes, lambda ns: ns @ x, lambda ns: x)
+                ref = sequential_max_support_gap(sc, nodes, nodes @ x, lambda n: x @ n, lambda n: x)
+                assert abs(got - ref) <= 1e-12 * scale
+                tol = 1e-8 * 2.0 * scale
+                expected = "outside" if ref > tol else "inside" if ref < -tol else "boundary"
+                assert contains_point(sc, x, nodes) == expected
+                continue
+            c = inner_sum_matrix(sc).entries if k % 4 else random_spd(rng, dim)
+            c = c * rng.uniform(0.97, 1.03) / np.max(np.linalg.norm(nodes @ c, axis=1) / h)
+            c2 = c @ c
+            got = max_support_gap(
+                sc,
+                nodes,
+                lambda ns: np.linalg.norm(ns @ c, axis=1),
+                lambda ns: ns @ c2 / np.linalg.norm(ns @ c, axis=1, keepdims=True),
+            )
+            ref = sequential_max_support_gap(
+                sc,
+                nodes,
+                np.linalg.norm(nodes @ c, axis=1),
+                lambda n: np.linalg.norm(c @ n),
+                lambda n: c2 @ n / np.linalg.norm(c @ n),
+            )
+            assert abs(got - ref) <= 1e-12 * scale
+            contained = containment_check(SpdMatrix(c), sc, self.RESOLUTION[dim])
+            assert contained == (ref <= 1e-9 * scale)
 
 
 class TestSceneJson:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_spd
+from conftest import random_rotation, random_spd
 from minksum.spd import SpdError, SpdMatrix, geometric_mean, spd_sqrt, sym_eigen
+from minksum.spd import _inv_sqrt_raw, _sqrt_raw, _sym_part
 
 
 class TestSymEigen:
@@ -151,3 +152,20 @@ class TestGeometricMean:
     def test_dimension_mismatch(self):
         with pytest.raises(SpdError):
             geometric_mean(SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3)))
+
+    def test_one_eigendecomposition_is_bitwise(self):
+        # reference: P^1/2 and P^-1/2 from two separate eigendecompositions
+        rng = np.random.default_rng(14)
+
+        def spd_with_condition(dim, kappa):
+            rot = random_rotation(rng, dim)
+            return SpdMatrix(rot @ np.diag(np.geomspace(1.0, kappa, dim)) @ rot.T)
+
+        for k in range(50):
+            dim = 2 + k % 3
+            p = spd_with_condition(dim, 10.0 ** rng.uniform(0.0, 3.0) if k % 2 else 1e3)
+            q = spd_with_condition(dim, 10.0 ** rng.uniform(0.0, 3.0))
+            ph, phi = _sqrt_raw(p.entries), _inv_sqrt_raw(p.entries)
+            inner = _sqrt_raw(phi @ q.entries @ phi)
+            ref = _sym_part(ph @ inner @ ph)
+            assert np.array_equal(geometric_mean(p, q).entries, ref)
