@@ -21,7 +21,7 @@ import sys
 import click
 import numpy as np
 
-from . import __version__, bounds, geometry, oracle, quadrature, steiner, svgfig
+from . import __version__, bounds, curvature, geometry, oracle, quadrature, steiner, svgfig
 from .geometry import EllipsoidSum, SceneSchemaError, SceneValidationError
 from .spd import SpdError, SpdMatrix
 
@@ -111,10 +111,8 @@ def boundary(scene_path, samples, out):
             res += 1
         normals = quadrature.build_quadrature(scene.dim, res).nodes[:samples]
 
-    from . import curvature as curv
-
     points = geometry.boundary_points(scene, normals)
-    red = curv.reduced_stack(scene, normals)
+    red = curvature.reduced_stack(scene, normals)
     lam = np.linalg.eigvalsh(red)
     kappas = np.sort(1.0 / lam, axis=1)
 

@@ -1,19 +1,23 @@
 """Brute-force validation oracles: Monte-Carlo volume, polyline perimeter.
 
-Both support low dimensions only: the Monte-Carlo volume N in {2, 3}
-(its direction grid has 64^(N-1) nodes), the perimeter N = 2.
+The Monte-Carlo volume works for every N; the perimeter needs N = 2.
 
 These estimators are intentionally independent of the closed-form paths
-they validate.  Monte-Carlo membership uses only the support function on
-a fixed direction grid; sampling is batched with per-batch substreams
-derived from (seed, batch index), so results do not depend on batch
-scheduling and are bitwise reproducible.
+they validate: Monte-Carlo membership uses only the term matrices and the
+inner and outer bound ellipsoids, never the boundary or quadrature code.
+Sampling is batched with per-batch substreams derived from (seed, batch
+index), so results do not depend on batch scheduling and are bitwise
+reproducible.
 
-The dense steps run in row blocks of ``_ROWS`` against all K grid nodes:
-the shell membership gap max_j (x.n_j - h_j) and the grid's
-nearest-neighbour cosine.  Each row is the same max over the same
-per-node values whatever the block size, so blocking changes no
-estimate, and working memory is O(_BATCH*N + _ROWS*K).
+Membership is the gauge test x in sum E_i iff
+gamma(x) = max_n x.n / h(n) <= 1, with h(n) = sum_i |A_i n|.  For a
+normal n, the step n' = H^-1 x with H = sum_i A_i^2 / |A_i n| writes
+x = sum_i A_i^2 n' / |A_i n|, whose i-th term lies in E_i when
+|A_i n'| <= |A_i n|; so max_i |A_i n'| / |A_i n| <= 1 certifies that x is
+inside.  x.n' > h(n') certifies that x is outside.  The step is the
+majorise-minimise (iteratively reweighted least squares) iteration for
+min h(n) subject to x.n = 1 (Hunter & Lange, Am. Stat. 2004), so both
+certificates tighten as it repeats.
 """
 
 from __future__ import annotations
@@ -23,17 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, geometry, quadrature
+from . import bounds, geometry
 from .geometry import EllipsoidSum
-from .spd import sym_eigen
 
 _BATCH = 1 << 15
-_ROWS = 128
+_CAP = 100
 
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte-Carlo volume estimate with its binomial standard error."""
+    """Monte-Carlo volume estimate with its binomial standard error.
+
+    `ambiguous` counts the samples that the gauge test left undecided
+    after _CAP steps; they are counted as inside.
+    """
 
     value: float
     std_error: float
@@ -51,52 +58,41 @@ class McEstimate:
         }
 
 
-def _membership_nodes(dim: int) -> np.ndarray:
-    res = 720 if dim == 2 else 64
-    return quadrature.build_quadrature(dim, res).nodes
+def _gauge_test(stack: np.ndarray, x: np.ndarray, n: np.ndarray) -> tuple[int, int]:
+    """(inside, undecided) counts for rows x, starting from normals n.
 
-
-def _max_gap(
-    xs: np.ndarray, nodes: np.ndarray, h: np.ndarray, buf: np.ndarray
-) -> np.ndarray:
-    """max_j (x.n_j - h_j) for each row x of xs, _ROWS rows at a time."""
-    gap = np.empty(xs.shape[0])
-    for start in range(0, xs.shape[0], _ROWS):
-        block = xs[start : start + _ROWS]
-        vals = buf[: block.shape[0]]
-        np.matmul(block, nodes.T, out=vals)
-        vals -= h
-        vals.max(axis=1, out=gap[start : start + _ROWS])
-    return gap
-
-
-def _grid_margin(nodes: np.ndarray, h_max: float) -> float:
-    """Upper bound on how far the grid support polytope exceeds the body."""
-    # nearest-neighbour angular radius of the grid, conservative by 2x
-    buf = np.empty((_ROWS, nodes.shape[0]))
-    cos_gap = math.inf
-    for start in range(0, nodes.shape[0], _ROWS):
-        block = nodes[start : start + _ROWS]
-        rows = np.arange(block.shape[0])
-        gram = buf[: block.shape[0]]
-        np.matmul(block, nodes.T, out=gram)
-        gram[rows, start + rows] = -1.0
-        cos_gap = min(cos_gap, float(np.min(np.max(gram, axis=1))))
-    half_angle = math.acos(min(cos_gap, 1.0))
-    return 2.0 * h_max * (1.0 / math.cos(half_angle) - 1.0 + 1e-15)
+    Each row stops at the first step that certifies it inside or outside
+    (module docstring); rows still open after _CAP steps are undecided.
+    """
+    m, dim, _ = stack.shape
+    sq = (stack @ stack).reshape(m, dim * dim)
+    r = np.linalg.norm(n @ stack, axis=2) / np.sum(x * n, axis=1)
+    inside = 0
+    for _ in range(_CAP):
+        h = ((1.0 / r).T @ sq).reshape(-1, dim, dim)
+        n = np.linalg.solve(h, x[:, :, None])[:, :, 0]
+        r_new = np.linalg.norm(n @ stack, axis=2)
+        x_dot = np.sum(x * n, axis=1)
+        is_in = np.max(r_new / r, axis=0) <= 1.0
+        live = ~is_in & (x_dot <= np.sum(r_new, axis=0))
+        inside += int(np.count_nonzero(is_in))
+        x = x[live]
+        r = r_new[:, live] / x_dot[live]
+        if x.shape[0] == 0:
+            break
+    return inside, x.shape[0]
 
 
 def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstimate:
     """Rejection-sampling volume estimate of the Minkowski sum.
 
     Samples uniformly in the axis-aligned bounding box of the
-    direction-optimal outer ellipsoid.  A sample is outside when some grid
-    direction certifies x.n > h(n); it is inside when the certified gap is
-    below the grid margin.  Samples in the thin ambiguous band are counted
-    as inside and reported separately (conservative).
+    direction-optimal outer ellipsoid.  Samples in the inner sum ellipsoid
+    are inside and samples outside the outer ellipsoid are outside; the
+    shell between them goes to the certified gauge test (module
+    docstring).  A sample that test leaves undecided after _CAP steps is
+    counted as inside and reported in `ambiguous`.
     """
-    if scene.dim > 3:
-        raise ValueError("the Monte Carlo oracle supports N in {2, 3} only")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     seed = int(seed)
@@ -105,21 +101,11 @@ def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstima
     half = np.sqrt(np.diag(outer.entries @ outer.entries))
     box_volume = float(np.prod(2.0 * half))
 
-    nodes = _membership_nodes(scene.dim)
-    h = geometry.support_values(scene, nodes)
-    margin = _grid_margin(nodes, float(np.max(h)))
-
-    # Exact shortcuts consistent with the grid rule: points in the inner
-    # sum ellipsoid are inside the body (hence inside the grid polytope);
-    # points outside the outer ellipsoid inflated by the grid margin are
-    # outside the grid polytope.  Only the shell needs the full grid test.
     inner = bounds.inner_sum_matrix(scene)
     inner_q = np.linalg.inv(inner.entries @ inner.entries)
     outer_q = np.linalg.inv(outer.entries @ outer.entries)
-    a_min = float(sym_eigen(outer.entries).eigenvalues[0])
-    reject_level = (1.0 + margin / a_min) ** 2
+    stack = np.stack(scene.matrices)
 
-    buf = np.empty((_ROWS, nodes.shape[0]))
     hits = 0
     ambiguous = 0
     done = 0
@@ -131,13 +117,14 @@ def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstima
         q_in = np.einsum("ki,ij,kj->k", x, inner_q, x)
         q_out = np.einsum("ki,ij,kj->k", x, outer_q, x)
         accept = q_in <= 1.0
-        undecided = ~accept & (q_out <= reject_level)
+        shell = ~accept & (q_out <= 1.0)
         hits += int(np.count_nonzero(accept))
-        if np.any(undecided):
-            gap = _max_gap(x[undecided], nodes, h, buf)
-            inside = gap <= 0.0
-            hits += int(np.count_nonzero(inside))
-            ambiguous += int(np.count_nonzero(inside & (gap > -margin)))
+        if np.any(shell):
+            # the outer ellipsoid's normal at x: the gradient of its form
+            xs = x[shell]
+            inside, undecided = _gauge_test(stack, xs, xs @ outer_q)
+            hits += inside + undecided
+            ambiguous += undecided
         done += count
         batch_index += 1
 

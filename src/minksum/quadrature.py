@@ -141,7 +141,9 @@ def gaussian_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> 
     """Total Gaussian curvature of the boundary; 2 pi (N=2) or 4 pi (N=3).
 
     Computed as the surface integral of the product of principal
-    curvatures; doubles as a quadrature self-test.
+    curvatures.  That product times det C~ is identically 1, so the result
+    is the sum of the weights up to rounding: it does not probe the
+    quadrature's accuracy on the scene.
     """
     if scene.dim not in (2, 3):
         raise ValueError("gaussian_curvature_integral supports N in {2, 3}")

@@ -54,36 +54,15 @@ def render_scene_svg(scene: EllipsoidSum, show=("sum", "inner", "john")) -> str:
         curves.append((geometry.boundary_points(single, ns), COLORS["term"]))
     if "sum" in show:
         curves.append((geometry.boundary_points(scene, ns), COLORS["sum"]))
-    if "inner" in show:
-        inner = bounds.inner_sum_matrix(scene)
-        curves.append(
-            (
-                geometry.boundary_points(
-                    EllipsoidSum.from_matrices([inner.entries]), ns
-                ),
-                COLORS["inner"],
-            )
-        )
-    if "john" in show and scene.m >= 2:
-        john = bounds.best_inner_john(scene)
-        curves.append(
-            (
-                geometry.boundary_points(
-                    EllipsoidSum.from_matrices([john.entries]), ns
-                ),
-                COLORS["john"],
-            )
-        )
-    if "outer" in show:
-        outer = bounds.minvol_outer(scene)
-        curves.append(
-            (
-                geometry.boundary_points(
-                    EllipsoidSum.from_matrices([outer.entries]), ns
-                ),
-                COLORS["outer"],
-            )
-        )
+    fits = {
+        "inner": bounds.inner_sum_matrix,
+        "john": bounds.best_inner_john,
+        "outer": bounds.minvol_outer,
+    }
+    for name, fit in fits.items():
+        if name in show and (name != "john" or scene.m >= 2):
+            single = EllipsoidSum.from_matrices([fit(scene).entries])
+            curves.append((geometry.boundary_points(single, ns), COLORS[name]))
 
     all_pts = np.vstack([c[0] for c in curves])
     xs, ys = all_pts[:, 0], -all_pts[:, 1]

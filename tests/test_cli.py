@@ -283,15 +283,15 @@ class TestOracleCommand:
         ],
         ids=["oracle", "volume-mc"],
     )
-    def test_4d_rejected(self, runner, tmp_path, args):
+    def test_4d_estimate(self, runner, tmp_path, args):
         path = write_scene(
             tmp_path,
             {"dimension": 4, "ellipsoids": [{"matrix": np.eye(4).tolist()}]},
         )
         res = runner.invoke(main, [args[0], path, *args[1:]])
-        assert res.exit_code == 2
-        assert res.stdout == ""
-        assert "N in {2, 3}" in res.stderr
+        assert res.exit_code == 0
+        payload = json.loads(res.stdout)
+        assert abs(payload["value"] - math.pi**2 / 2) <= 3 * payload["std_error"]
 
 
 class TestErrorHandling:

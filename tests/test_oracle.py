@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_scene
-from minksum.geometry import EllipsoidSum
-from minksum.oracle import (
-    McEstimate,
-    _grid_margin,
-    _membership_nodes,
-    monte_carlo_volume,
-    polyline_perimeter,
-)
-from minksum.quadrature import build_quadrature, volume_divergence
+from minksum import bounds
+from minksum.geometry import EllipsoidSum, boundary_points
+from minksum.oracle import McEstimate, _gauge_test, monte_carlo_volume, polyline_perimeter
+from minksum.quadrature import build_quadrature, unit_ball_volume, volume_divergence
 from minksum.steiner import area_sum_2d_pair, elliptic_E
 from minksum.spd import SpdMatrix
 
@@ -31,13 +26,11 @@ class TestMonteCarloVolume:
         assert abs(est.value - area_sum_2d_pair(a, b)) <= 3 * est.std_error
 
     def test_3d_scene(self):
-        from minksum import bounds
-
         sc = EllipsoidSum.from_matrices([np.diag([1.0, 1.0, 2.0]), np.eye(3)])
         est = monte_carlo_volume(sc, 500_000, seed=103)
         truth = volume_divergence(sc, build_quadrature(3, 64))
-        # ambiguous band samples are counted as inside, biasing the
-        # estimate upward by at most their box-volume share
+        # samples the gauge test leaves undecided are counted as inside,
+        # biasing the estimate upward by at most their box-volume share
         outer = bounds.minvol_outer(sc).entries
         box = float(np.prod(2 * np.sqrt(np.diag(outer @ outer))))
         bias = box * est.ambiguous / est.samples
@@ -81,10 +74,31 @@ class TestMonteCarloVolume:
         with pytest.raises(ValueError):
             monte_carlo_volume(sc, 10, seed=0)
 
-    def test_rejects_dim_above_3(self):
-        sc = EllipsoidSum.from_matrices([np.eye(4)])
-        with pytest.raises(ValueError, match="N in"):
-            monte_carlo_volume(sc, 1000, seed=0)
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["single", "balls"])
+    def test_closed_form_every_dim(self, kind, dim):
+        rng = np.random.default_rng(110 + dim)
+        if kind == "single":
+            mats = [spd_with_condition(rng, dim, 10.0)]
+            truth = unit_ball_volume(dim) * float(np.linalg.det(mats[0]))
+        else:
+            mats = [r * np.eye(dim) for r in (0.5, 1.0, 2.0)]
+            truth = unit_ball_volume(dim) * 3.5**dim
+        sc = EllipsoidSum.from_matrices(mats)
+        est = monte_carlo_volume(sc, 200_000, seed=10 * dim + len(mats))
+        assert abs(est.value - truth) <= 3 * est.std_error
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_few_ambiguous(self, dim):
+        # the gauge steps converge slowest on ill-conditioned terms; at
+        # condition <= 30 almost every shell sample is decided
+        rng = np.random.default_rng(120 + dim)
+        for m in range(2, 7):
+            sc = EllipsoidSum.from_matrices(
+                [spd_with_condition(rng, dim, 30.0) for _ in range(m)]
+            )
+            est = monte_carlo_volume(sc, 50_000, seed=m)
+            assert est.ambiguous <= 1e-4 * est.samples
 
 
 def spd_with_condition(rng, dim, cond):
@@ -94,22 +108,40 @@ def spd_with_condition(rng, dim, cond):
     return q @ np.diag(lam) @ q.T
 
 
+class TestGaugeCertificates:
+    # Points 1% inside and 1% outside the boundary, started from the
+    # outer ellipsoid's normal as the oracle starts them: every point is
+    # decided, and on the right side.
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("cond", [3.0, 300.0, 3e3])
+    def test_near_boundary_decided(self, dim, cond):
+        rng = np.random.default_rng(int(10 * dim + math.log10(cond)))
+        for m in (2, 4, 6):
+            mats = [spd_with_condition(rng, dim, cond) for _ in range(m)]
+            sc = EllipsoidSum.from_matrices(mats)
+            outer = bounds.minvol_outer(sc).entries
+            outer_q = np.linalg.inv(outer @ outer)
+            normals = rng.normal(size=(500, dim))
+            points = boundary_points(sc, normals)
+            stack = np.stack(mats)
+            for scale, expected in ((1 - 1e-2, 500), (1 + 1e-2, 0)):
+                x = scale * points
+                assert _gauge_test(stack, x, x @ outer_q) == (expected, 0)
+
+
 class TestMonteCarloGolden:
-    # McEstimate (value, std_error, ambiguous) captured from the unblocked
-    # membership kernel (one dense x @ nodes.T per batch, full Gram margin)
-    # before the row-blocked rewrite.  The scene of each case is drawn from
-    # default_rng(seed).  Undecided samples per 32,768-sample batch: case 1
-    # has 2 and 5 (a lone partial block), none of the others is a multiple
-    # of 128; cases 3 and 6 span three and four batches.
+    # McEstimate (value, std_error, ambiguous) captured from the gauge-test
+    # kernel.  The scene of each case is drawn from default_rng(seed);
+    # cases 3 and 6 span three and four 32,768-sample batches.
     CASES = [
         (2, 1, 1.0, 50_000, 11, 3.143040000000001, 0.007339563418078764, 0),
-        (2, 2, 10.0, 40_000, 12, 43.81330496970518, 0.19946763366287143, 3),
-        (2, 4, 300.0, 70_000, 13, 5660.463012548307, 17.76382064100742, 8),
-        (2, 6, 3e3, 40_000, 14, 122663.99392372783, 532.8645058387815, 4),
-        (3, 1, 30.0, 40_000, 15, 4.341428307896148, 0.08897681092446118, 59),
-        (3, 2, 3.0, 100_000, 16, 37.59397401058961, 0.15652417559727216, 448),
-        (3, 3, 3e3, 40_000, 17, 119709.98682185779, 2605.592066827922, 174),
-        (3, 5, 100.0, 40_000, 18, 47494.87891551425, 371.05724039163255, 151),
+        (2, 2, 10.0, 40_000, 12, 43.81330496970518, 0.19946763366287143, 0),
+        (2, 4, 300.0, 70_000, 13, 5658.413852534111, 17.76526758081552, 4),
+        (2, 6, 3e3, 40_000, 14, 122620.94259656324, 532.8948306539919, 3),
+        (3, 1, 30.0, 40_000, 15, 4.227434418191709, 0.08786947853318396, 0),
+        (3, 2, 3.0, 100_000, 16, 37.53539881121822, 0.15647246018652713, 0),
+        (3, 3, 3e3, 40_000, 17, 107768.8410042161, 2478.722281310096, 0),
+        (3, 5, 100.0, 40_000, 18, 47266.04701159368, 370.5273425499494, 1),
     ]
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"N{c[0]}-m{c[1]}-s{c[4]}")
@@ -126,26 +158,6 @@ class TestMonteCarloGolden:
             seed=seed,
             ambiguous=ambiguous,
         )
-
-    @staticmethod
-    def full_gram_margin(nodes, h_max):
-        gram = nodes @ nodes.T
-        np.fill_diagonal(gram, -1.0)
-        cos_gap = float(np.min(np.max(gram, axis=1)))
-        half_angle = math.acos(min(cos_gap, 1.0))
-        return 2.0 * h_max * (1.0 / math.cos(half_angle) - 1.0 + 1e-15)
-
-    @pytest.mark.parametrize(
-        "nodes",
-        [
-            _membership_nodes(2),
-            _membership_nodes(3),
-            build_quadrature(3, 23).nodes,
-        ],
-        ids=["default-2d", "default-3d", "3d-res23"],
-    )
-    def test_grid_margin_matches_full_gram(self, nodes):
-        assert _grid_margin(nodes, 2.5) == self.full_gram_margin(nodes, 2.5)
 
     def test_peak_memory_bounded(self):
         sc = random_scene(np.random.default_rng(90), 3, 3)
