@@ -354,11 +354,16 @@ class TestErrorHandling:
         assert res.stderr.startswith("error: ")
 
     def test_bounds_error_exits_5(self, tmp_path):
-        # the default quadrature overestimates this ellipse's area by 17%,
-        # so the sandwich check fails; a fresh process shows the real stderr
-        path = write_scene(
-            tmp_path, {"dimension": 2, "ellipsoids": [{"matrix": [[1.0, 0.0], [0.0, 100.0]]}]}
-        )
+        # the default quadrature underestimates this ill-conditioned pair's
+        # area, so the sandwich check fails; a fresh process shows the real stderr
+        scene = {
+            "dimension": 2,
+            "ellipsoids": [
+                {"matrix": [[418.07, 464.25], [464.25, 519.1]]},
+                {"matrix": [[3.98, -2.01], [-2.01, 2.65]]},
+            ],
+        }
+        path = write_scene(tmp_path, scene)
         src = str(Path(minksum.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
@@ -404,13 +409,21 @@ class TestStartup:
         assert minksum.__version__ in res.stdout
 
     def test_import_skips_scipy_optimize(self):
+        # no scipy module at all, after the CLI import and after a 2D Steiner area
         src = str(Path(minksum.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = (
-            "import sys, minksum.cli; minksum.cli.quadrature.build_quadrature(3, 8); "
-            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')])"
+        code = "\n".join(
+            [
+                "import sys, minksum.cli as cli",
+                "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+                "print(scipy())",
+                "cli.quadrature.build_quadrature(3, 8)",
+                "mats = [[[2.0, 1.0], [1.0, 3.0]], [[1.0, 0.0], [0.0, 5.0]]]",
+                "cli.steiner.area_sum_2d_recursive(cli.EllipsoidSum.from_matrices(mats))",
+                "print(scipy())",
+            ]
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        assert out.stdout.strip() == "[False, False]"
+        assert out.stdout.split() == ["[]", "[]"]

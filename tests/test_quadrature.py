@@ -203,6 +203,20 @@ class TestVolumeDivergence:
             expected = unit_ball_volume(dim) * np.linalg.det(sc.matrices[0])
             assert val == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16), (4, 8), (5, 8)])
+    def test_single_ellipsoid_exact_in_chart(self, dim, res):
+        # in the chart of the term itself the integrand is the constant
+        # det A, so even a coarse rule is exact for any condition number
+        rng = np.random.default_rng(46)
+        quad = build_quadrature(dim, res)
+        for kappa in (1.0, 10.0, 100.0, 1e3):
+            q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            lam = rng.uniform(0.5, 2.0) * np.geomspace(1.0, kappa, dim)
+            a = q @ np.diag(lam) @ q.T
+            val = volume_divergence(EllipsoidSum.from_matrices([a]), quad)
+            expected = unit_ball_volume(dim) * np.prod(lam)
+            assert val == pytest.approx(expected, rel=1e-10)
+
     def test_area_factors_positive(self):
         from minksum.quadrature import _area_factors
 

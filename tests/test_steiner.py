@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.special import ellipe
 
 from conftest import random_spd
 from minksum.geometry import EllipsoidSum
@@ -32,6 +33,14 @@ class TestEllipticE:
                 epsrel=1e-13,
             )
             assert elliptic_E(x) == pytest.approx(ref, abs=1e-12)
+
+    def test_against_scipy_ellipe(self):
+        # the AGM against scipy's E(m = x^2), with moduli within 1e-16 of 0 and 1
+        tiny = np.logspace(-16, -1, 61)
+        grid = np.concatenate([np.linspace(0.0, 1.0, 2001), tiny, 1.0 - tiny])
+        for x in grid:
+            ref = ellipe(x * x)
+            assert abs(elliptic_E(float(x)) - ref) <= 1e-14 * ref
 
     def test_domain(self):
         with pytest.raises(ValueError):
