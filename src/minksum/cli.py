@@ -52,6 +52,14 @@ def _numeric_errors(command):
     return run
 
 
+def _check_seed(seed: int | None, missing: str):
+    """Exit 2 unless a Monte Carlo seed was given and is non-negative."""
+    if seed is None:
+        _fail(EXIT_NUMERIC, missing)
+    if seed < 0:
+        _fail(EXIT_NUMERIC, "--seed must be a non-negative integer")
+
+
 def _load_scene(path: str) -> EllipsoidSum:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -183,8 +191,7 @@ def volume(scene_path, method, resolution, samples, seed, out):
         else:
             _fail(EXIT_NUMERIC, "steiner method supports N in {2, 3} only")
     else:
-        if seed is None:
-            _fail(EXIT_NUMERIC, "--seed is required for the montecarlo method")
+        _check_seed(seed, "--seed is required for the montecarlo method")
         est = oracle.monte_carlo_volume(scene, samples, seed)
         payload["value"] = est.value
         payload["std_error"] = est.std_error
@@ -231,15 +238,16 @@ def plot(scene_path, out, show):
 
 @main.command("oracle")
 @click.argument("scene_path", type=click.Path())
-@click.option("--samples", default=1_000_000, show_default=True)
+@click.option(
+    "--samples", default=1_000_000, show_default=True, help="Sample count (at least 1000)."
+)
 @click.option("--seed", default=None, type=int, help="PRNG seed (required).")
 @click.option("--out", type=click.Path(), default=None, help="JSON output path.")
 @_numeric_errors
 def oracle_cmd(scene_path, samples, seed, out):
     """Monte-Carlo volume estimate (independent validation oracle)."""
     scene = _load_scene(scene_path)
-    if seed is None:
-        _fail(EXIT_NUMERIC, "--seed is required; wall-clock seeding is not supported")
+    _check_seed(seed, "--seed is required; wall-clock seeding is not supported")
     est = oracle.monte_carlo_volume(scene, samples, seed)
     _emit(_json_text(est.to_json()), out)
 

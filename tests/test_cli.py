@@ -278,6 +278,21 @@ class TestOracleCommand:
     @pytest.mark.parametrize(
         "args",
         [
+            ["oracle", "--samples", "1000", "--seed", "-1"],
+            ["volume", "--method", "montecarlo", "--samples", "1000", "--seed", "-1"],
+        ],
+        ids=["oracle", "volume-mc"],
+    )
+    def test_negative_seed(self, runner, tmp_path, args):
+        path = write_scene(tmp_path, UNIT_BALL_2D)
+        res = runner.invoke(main, [args[0], path, *args[1:]])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: --seed must be a non-negative integer\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ["oracle", "--samples", "1000", "--seed", "1"],
             ["volume", "--method", "montecarlo", "--samples", "1000", "--seed", "1"],
         ],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_scene
-from minksum import bounds
+from minksum import bounds, oracle
 from minksum.geometry import EllipsoidSum, boundary_points
 from minksum.oracle import McEstimate, _gauge_test, monte_carlo_volume, polyline_perimeter
 from minksum.quadrature import build_quadrature, unit_ball_volume, volume_divergence
@@ -126,7 +126,7 @@ class TestGaugeCertificates:
             stack = np.stack(mats)
             for scale, expected in ((1 - 1e-2, 500), (1 + 1e-2, 0)):
                 x = scale * points
-                assert _gauge_test(stack, x, x @ outer_q) == (expected, 0)
+                assert _gauge_test(stack, [x], outer_q) == (expected, 0)
 
 
 class TestMonteCarloGolden:
@@ -160,14 +160,116 @@ class TestMonteCarloGolden:
         )
 
     def test_peak_memory_bounded(self):
-        sc = random_scene(np.random.default_rng(90), 3, 3)
-        tracemalloc.start()
-        try:
-            monte_carlo_volume(sc, 400_000, seed=19)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        # the second scene is shell-heavy: about 40% of its samples queue
+        # for the gauge test
+        rng = np.random.default_rng(29)
+        shell_heavy = EllipsoidSum.from_matrices(
+            [spd_with_condition(rng, 2, 1.5e3) for _ in range(4)]
+        )
+        cases = ((random_scene(np.random.default_rng(90), 3, 3), 19), (shell_heavy, 29))
+        for sc, seed in cases:
+            tracemalloc.start()
+            try:
+                monte_carlo_volume(sc, 400_000, seed=seed)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20
+
+
+def reference_gauge_test(stack, x, n):
+    """The per-batch gauge test the pool replaced: all rows of one batch
+    start together and iterate until the slowest is decided or capped."""
+    m, dim, _ = stack.shape
+    sq = (stack @ stack).reshape(m, dim * dim)
+    r = np.linalg.norm(n @ stack, axis=2) / np.sum(x * n, axis=1)
+    inside = 0
+    for _ in range(oracle._CAP):
+        h = ((1.0 / r).T @ sq).reshape(-1, dim, dim)
+        n = np.linalg.solve(h, x[:, :, None])[:, :, 0]
+        r_new = np.linalg.norm(n @ stack, axis=2)
+        x_dot = np.sum(x * n, axis=1)
+        is_in = np.max(r_new / r, axis=0) <= 1.0
+        live = ~is_in & (x_dot <= np.sum(r_new, axis=0))
+        inside += int(np.count_nonzero(is_in))
+        x = x[live]
+        r = r_new[:, live] / x_dot[live]
+        if x.shape[0] == 0:
+            break
+    return inside, x.shape[0]
+
+
+def reference_monte_carlo_volume(scene, samples, seed):
+    """monte_carlo_volume with one gauge test per sampling batch."""
+    outer = bounds.minvol_outer(scene)
+    half = np.sqrt(np.diag(outer.entries @ outer.entries))
+    box_volume = float(np.prod(2.0 * half))
+    inner = bounds.inner_sum_matrix(scene)
+    inner_q = np.linalg.inv(inner.entries @ inner.entries)
+    outer_q = np.linalg.inv(outer.entries @ outer.entries)
+    stack = np.stack(scene.matrices)
+    hits = ambiguous = done = batch_index = 0
+    while done < samples:
+        count = min(oracle._BATCH, samples - done)
+        rng = np.random.default_rng([seed, batch_index])
+        x = rng.uniform(-1.0, 1.0, size=(oracle._BATCH, scene.dim))[:count] * half
+        q_in = np.einsum("ki,ij,kj->k", x, inner_q, x)
+        q_out = np.einsum("ki,ij,kj->k", x, outer_q, x)
+        accept = q_in <= 1.0
+        shell = ~accept & (q_out <= 1.0)
+        hits += int(np.count_nonzero(accept))
+        if np.any(shell):
+            xs = x[shell]
+            inside, undecided = reference_gauge_test(stack, xs, xs @ outer_q)
+            hits += inside + undecided
+            ambiguous += undecided
+        done += count
+        batch_index += 1
+    p = hits / samples
+    return McEstimate(
+        value=box_volume * p,
+        std_error=box_volume * math.sqrt(p * (1.0 - p) / samples),
+        samples=samples,
+        seed=seed,
+        ambiguous=ambiguous,
+    )
+
+
+class TestGaugePool:
+    # (dim, m, cond, samples, seed, capped).  The scene is drawn from
+    # default_rng(seed).  The capped cases leave samples undecided and
+    # their shells exceed one pool: at the default pool size, 4 of 5 and
+    # 19 of 20 undecided rows of the first and third case entered the
+    # pool after its first step; with a 97-row pool nearly all rows do.
+    CASES = [
+        (2, 4, 3e3, 50_001, 1, True),
+        (3, 6, 3e3, 50_001, 2, True),
+        (2, 6, 300.0, 200_000, 9, True),
+        (4, 3, 300.0, 32_768, 3, False),
+        (5, 2, 30.0, 1_000, 4, False),
+        (5, 6, 3e3, 32_768, 5, False),
+        (2, 1, 1.0, 200_000, 6, False),
+        (3, 3, 1.0, 1_000, 7, False),
+        (4, 5, 30.0, 50_001, 8, False),
+        (3, 2, 3e3, 200_000, 10, False),
+    ]
+
+    @pytest.mark.parametrize("pool", [None, 97], ids=["default-pool", "pool-97"])
+    @pytest.mark.parametrize(
+        "case", CASES, ids=lambda c: f"N{c[0]}-m{c[1]}-k{c[2]:g}-n{c[3]}"
+    )
+    def test_matches_per_batch_reference(self, case, pool, monkeypatch):
+        dim, m, cond, samples, seed, capped = case
+        if pool is not None:
+            monkeypatch.setattr(oracle, "_POOL", pool)
+        rng = np.random.default_rng(seed)
+        sc = EllipsoidSum.from_matrices(
+            [spd_with_condition(rng, dim, cond) for _ in range(m)]
+        )
+        expected = reference_monte_carlo_volume(sc, samples, seed)
+        assert monte_carlo_volume(sc, samples, seed) == expected
+        if capped:
+            assert expected.ambiguous > 0
 
 
 class TestPolylinePerimeter:
