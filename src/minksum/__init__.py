@@ -2,7 +2,6 @@
 
 from .spd import SpdError, SpdMatrix, SymEigen, geometric_mean, spd_sqrt, sym_eigen
 from .geometry import (
-    Ellipsoid,
     EllipsoidSum,
     contains_point,
     ellipsoid_from_general,

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, quadrature
+from . import geometry, quadrature, steiner
 from .geometry import EllipsoidSum
 from .quadrature import unit_ball_volume
-from .spd import SpdMatrix, _inv_sqrt_raw, _sqrt_raw, geometric_mean, sym_eigen
+from .spd import SpdError, SpdMatrix, _eigh, _geometric_mean_raw
+from .spd import _inv_sqrt_raw, _sqrt_raw, _sym_part
 
 
 # Stop and cap of the fixed-point recursion in minvol_outer.  On random
@@ -63,10 +64,7 @@ class BoundReport:
 
 def inner_sum_matrix(scene: EllipsoidSum) -> SpdMatrix:
     """A_sum = sum of the shape matrices; E_{A_sum} lies inside the sum."""
-    total = np.zeros((scene.dim, scene.dim))
-    for a in scene.matrices:
-        total = total + a
-    return SpdMatrix(total)
+    return SpdMatrix(sum(scene.matrices))
 
 
 def containment_check(candidate: SpdMatrix, scene: EllipsoidSum, resolution=None) -> bool:
@@ -102,7 +100,7 @@ def contact_points(a1: SpdMatrix, a2: SpdMatrix) -> np.ndarray:
     if a1.dim != a2.dim:
         raise ValueError("dimension mismatch")
     s_inv = _inv_sqrt_raw(a1.entries)
-    w = sym_eigen(s_inv @ a2.entries @ s_inv).eigenvectors
+    w = _eigh(_sym_part(s_inv @ a2.entries @ s_inv))[1]
     vs = s_inv @ w
     vs /= np.linalg.norm(vs, axis=0)
     asum = a1.entries + a2.entries
@@ -115,17 +113,24 @@ def contact_points(a1: SpdMatrix, a2: SpdMatrix) -> np.ndarray:
     return np.array(pts)
 
 
+def _john_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F(A, B) of two exactly symmetric arrays; SpdError if it is not finite."""
+    p = _sym_part(a @ a)
+    q = _sym_part(b @ b)
+    f = _sqrt_raw(p + 2.0 * _geometric_mean_raw(p, q) + q)
+    if not np.all(np.isfinite(f)):
+        raise SpdError("John composite is not finite; the terms are too ill-conditioned")
+    return f
+
+
 def john_inner_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Maximal-volume inner ellipsoid of E_A + E_B (Chernousko's formula)."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    p = SpdMatrix(a.entries @ a.entries)
-    q = SpdMatrix(b.entries @ b.entries)
-    g = geometric_mean(p, q)
-    return SpdMatrix(_sqrt_raw(p.entries + 2.0 * g.entries + q.entries))
+    return SpdMatrix(_john_pair(a.entries, b.entries))
 
 
-def _bracketings(mats: tuple[SpdMatrix, ...]) -> list[SpdMatrix]:
+def _bracketings(mats: tuple[np.ndarray, ...]) -> list[np.ndarray]:
     """All F-composites over distinct binary bracketing orders, memoised by index subset."""
     memo = {(i,): [a] for i, a in enumerate(mats)}
 
@@ -139,7 +144,7 @@ def _bracketings(mats: tuple[SpdMatrix, ...]) -> list[SpdMatrix]:
                     right = tuple(i for i in subset if i not in left)
                     for lt in composites(left):
                         for rt in composites(right):
-                            out.append(john_inner_pair(lt, rt))
+                            out.append(_john_pair(lt, rt))
             memo[subset] = out
         return memo[subset]
 
@@ -157,17 +162,17 @@ def john_inner_recursive(scene: EllipsoidSum) -> SpdMatrix:
     """
     if scene.m < 3:
         raise ValueError("john_inner_recursive requires at least 3 ellipsoids")
-    mats = tuple(SpdMatrix(a) for a in scene.matrices)
+    det = np.linalg.det
     if scene.m <= 4:
         # The plain sum is a valid inner candidate and can beat every
         # F-composite, so it participates in the max.
-        best = inner_sum_matrix(scene)
-        for cand in _bracketings(mats):
-            if cand.det() > best.det():
+        best = sum(scene.matrices)
+        for cand in _bracketings(scene.matrices):
+            if det(cand) > det(best):
                 best = cand
     else:
         # pool entries are (label, matrix); a composite is labelled by its parts' labels
-        pool = list(enumerate(mats))
+        pool = list(enumerate(scene.matrices))
         pairs = {}
         while len(pool) > 1:
             best_pair, best_det = None, -np.inf
@@ -175,16 +180,17 @@ def john_inner_recursive(scene: EllipsoidSum) -> SpdMatrix:
                 for j in range(i + 1, len(pool)):
                     key = (pool[i][0], pool[j][0])
                     if key not in pairs:
-                        pairs[key] = john_inner_pair(pool[i][1], pool[j][1])
-                    f = pairs[key]
-                    if f.det() > best_det:
-                        best_pair, best_det = (i, j, key), f.det()
+                        f = _john_pair(pool[i][1], pool[j][1])
+                        pairs[key] = (f, det(f))
+                    if pairs[key][1] > best_det:
+                        best_pair, best_det = (i, j, key), pairs[key][1]
             i, j, key = best_pair
-            pool = [p for k, p in enumerate(pool) if k not in (i, j)] + [(key, pairs[key])]
+            pool = [p for k, p in enumerate(pool) if k not in (i, j)] + [(key, pairs[key][0])]
         best = pool[0][1]
-        plain = inner_sum_matrix(scene)
-        if plain.det() > best.det():
+        plain = sum(scene.matrices)
+        if det(plain) > det(best):
             best = plain
+    best = SpdMatrix(best)
     if not containment_check(best, scene):
         raise BoundsError("recursive John composite failed the containment check")
     return best
@@ -203,8 +209,7 @@ def kv_inner_family(a: SpdMatrix, b: SpdMatrix, s: SpdMatrix) -> SpdMatrix:
         sm @ b.entries @ b.entries @ sm
     )
     s_inv = np.linalg.inv(sm)
-    sq = s_inv @ inner @ inner @ s_inv
-    return SpdMatrix(_sqrt_raw(0.5 * (sq + sq.T)))
+    return SpdMatrix(_sqrt_raw(s_inv @ inner @ inner @ s_inv))
 
 
 def outer_gamma_matrix(scene: EllipsoidSum, gammas) -> SpdMatrix:
@@ -221,7 +226,7 @@ def outer_gamma_matrix(scene: EllipsoidSum, gammas) -> SpdMatrix:
     if abs(np.sum(1.0 / gammas) - 1.0) > 1e-12:
         raise ValueError("gamma values must satisfy sum 1/gamma_i = 1")
     if scene.m == 1:
-        return scene.terms[0].shape
+        return scene.terms[0]
     total = np.zeros((scene.dim, scene.dim))
     for g, a in zip(gammas, scene.matrices):
         total += g * (a @ a)
@@ -231,8 +236,7 @@ def outer_gamma_matrix(scene: EllipsoidSum, gammas) -> SpdMatrix:
 def _pair_spectrum(a1: SpdMatrix, a2: SpdMatrix) -> np.ndarray:
     """Squared singular values of A1^-1 A2, i.e. eigenvalues of A1^-1 A2^2 A1^-1."""
     inv = np.linalg.inv(a1.entries)
-    sym = inv @ a2.entries @ a2.entries @ inv
-    return sym_eigen(0.5 * (sym + sym.T)).eigenvalues
+    return _eigh(_sym_part(inv @ a2.entries @ a2.entries @ inv))[0]
 
 
 def beta_residual(beta: float, mu: np.ndarray) -> float:
@@ -340,9 +344,9 @@ def minvol_outer(scene: EllipsoidSum) -> SpdMatrix:
 def best_inner_john(scene: EllipsoidSum) -> SpdMatrix:
     """Best available John-style inner matrix for any m."""
     if scene.m == 1:
-        return SpdMatrix(scene.matrices[0])
+        return scene.terms[0]
     if scene.m == 2:
-        return john_inner_pair(SpdMatrix(scene.matrices[0]), SpdMatrix(scene.matrices[1]))
+        return john_inner_pair(*scene.terms)
     return john_inner_recursive(scene)
 
 
@@ -358,16 +362,25 @@ def _bm_chain(scene: EllipsoidSum, vol: float, inner_john: SpdMatrix, inner_sum:
     )
 
 
+def _volume_of_record(scene: EllipsoidSum, quad) -> float:
+    """The volume the bounds are checked against (see `volume_bounds`)."""
+    if scene.dim == 2:
+        return steiner.area_sum_2d_recursive(scene)
+    if scene.m == 1:
+        return unit_ball_volume(scene.dim) * scene.terms[0].det()
+    if quad is None:
+        quad = quadrature.default_quadrature(scene.dim)
+    return quadrature.volume_divergence(scene, quad)
+
+
 def brunn_minkowski_chain(a1: SpdMatrix, a2: SpdMatrix, quad=None):
     """The four-link sharpened Brunn-Minkowski chain for a pair (descending).
 
     (true volume)^(1/N) >= (V_B det F)^(1/N) >= (V_B det(A1+A2))^(1/N)
     >= Vol(E1)^(1/N) + Vol(E2)^(1/N).
     """
-    scene = EllipsoidSum.from_matrices([a1.entries, a2.entries])
-    if quad is None:
-        quad = quadrature.default_quadrature(scene.dim)
-    vol = quadrature.volume_divergence(scene, quad)
+    scene = EllipsoidSum((a1, a2))
+    vol = _volume_of_record(scene, quad)
     return _bm_chain(scene, vol, john_inner_pair(a1, a2), inner_sum_matrix(scene))
 
 
@@ -376,10 +389,12 @@ def volume_bounds(scene: EllipsoidSum, quad=None) -> BoundReport:
 
     Lower bound: best of det A_sum and the John candidate.  Upper bound:
     best of the fixed-point optimal and trace-heuristic outer ellipsoids.
-    The report also carries the Brunn-Minkowski comparison chain.
+    The sandwich is checked against the volume of record: the exact area
+    for N = 2, V_B det A for one term, and otherwise the divergence
+    quadrature on `quad`, which therefore only matters for N >= 3 with
+    m >= 2.  The report also carries the Brunn-Minkowski comparison chain,
+    whose first link is that volume to the 1/N.
     """
-    if quad is None:
-        quad = quadrature.default_quadrature(scene.dim)
     vb = unit_ball_volume(scene.dim)
 
     inner_sum = inner_sum_matrix(scene)
@@ -390,7 +405,7 @@ def volume_bounds(scene: EllipsoidSum, quad=None) -> BoundReport:
     lower = vb * max(inner_sum.det(), inner_john.det())
     upper = vb * min(outer_opt.det(), outer_heur.det())
 
-    vol = quadrature.volume_divergence(scene, quad)
+    vol = _volume_of_record(scene, quad)
     slack = 1e-9 * max(vol, 1.0)
     if not (lower <= vol + slack and vol <= upper + slack):
         raise BoundsError(

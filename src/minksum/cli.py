@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, bounds, curvature, geometry, oracle, quadrature, steiner, svgfig
 from .geometry import EllipsoidSum, SceneSchemaError, SceneValidationError
-from .spd import SpdError, SpdMatrix
+from .spd import SpdError
 
 EXIT_SCHEMA = 1
 EXIT_NUMERIC = 2
@@ -169,27 +169,23 @@ def volume(scene_path, method, resolution, samples, seed, out):
     elif method == "steiner":
         if scene.dim == 2:
             payload["value"] = steiner.area_sum_2d_recursive(scene)
-            payload["exact"] = True
         elif scene.dim == 3:
             quad = quadrature.build_quadrature(3, resolution)
             if scene.m == 1:
                 payload["value"] = quadrature.unit_ball_volume(3) * float(
                     np.linalg.det(scene.matrices[0])
                 )
-                payload["exact"] = True
             elif scene.m == 2:
-                payload["value"] = steiner.volume_sum_3d_pair(
-                    SpdMatrix(scene.matrices[0]), SpdMatrix(scene.matrices[1]), quad
-                )
-                payload["exact"] = True
+                payload["value"] = steiner.volume_sum_3d_pair(*scene.terms, quad)
             else:
                 report = steiner.volume_sum_3d_bounds(scene, quad)
                 payload["value"] = report.exact_value
                 payload["lower"] = report.lower
                 payload["upper"] = report.upper
-                payload["exact"] = True
         else:
             _fail(EXIT_NUMERIC, "steiner method supports N in {2, 3} only")
+        # 3D values with m >= 2 integrate a rescaled term by quadrature
+        payload["exact"] = scene.dim == 2 or scene.m == 1
     else:
         _check_seed(seed, "--seed is required for the montecarlo method")
         est = oracle.monte_carlo_volume(scene, samples, seed)

@@ -32,25 +32,10 @@ class SceneValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Ellipsoid:
-    """Solid origin-centered ellipsoid defined by an SPD shape matrix."""
-
-    shape: SpdMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.shape.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.shape.entries
-
-
-@dataclass(frozen=True)
 class EllipsoidSum:
-    """Ordered list of ellipsoids sharing one dimension; the summed scene."""
+    """Ordered shape matrices of ellipsoids sharing one dimension; the summed scene."""
 
-    terms: tuple[Ellipsoid, ...]
+    terms: tuple[SpdMatrix, ...]
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -60,7 +45,7 @@ class EllipsoidSum:
         if len(dims) != 1:
             raise ValueError(f"mixed dimensions in scene: {sorted(dims)}")
         for i, t in enumerate(terms):
-            lam = sym_eigen(t.matrix).eigenvalues
+            lam = sym_eigen(t.entries).eigenvalues
             if lam[-1] / lam[0] > COND_WARN:
                 warnings.warn(
                     f"ellipsoid {i} has condition number > {COND_WARN:.0e}; "
@@ -71,7 +56,7 @@ class EllipsoidSum:
 
     @classmethod
     def from_matrices(cls, mats) -> "EllipsoidSum":
-        return cls(tuple(Ellipsoid(SpdMatrix(np.asarray(m, float))) for m in mats))
+        return cls(tuple(SpdMatrix(np.asarray(m, float)) for m in mats))
 
     @property
     def dim(self) -> int:
@@ -83,11 +68,11 @@ class EllipsoidSum:
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(t.matrix for t in self.terms)
+        return tuple(t.entries for t in self.terms)
 
 
-def ellipsoid_from_general(s) -> Ellipsoid:
-    """Ellipsoid {S u : |u| < 1} for a general nonsingular matrix S.
+def ellipsoid_from_general(s) -> SpdMatrix:
+    """Shape matrix of the ellipsoid {S u : |u| < 1} for a nonsingular S.
 
     The unique SPD representative is A = (S S^T)^(1/2).
     """
@@ -98,7 +83,7 @@ def ellipsoid_from_general(s) -> Ellipsoid:
     norm = np.linalg.norm(s, 2)
     if abs(np.linalg.det(s)) <= 1e-12 * norm**n:
         raise ValueError("matrix is singular (or too close to singular)")
-    return Ellipsoid(SpdMatrix(_sqrt_raw(s @ s.T)))
+    return SpdMatrix(_sqrt_raw(s @ s.T))
 
 
 def boundary_points(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
@@ -248,10 +233,7 @@ def scene_from_json(obj) -> EllipsoidSum:
                 f"ellipsoid {i}: {key} must be {dim}x{dim}, got {mat.shape}"
             )
         try:
-            if key == "matrix":
-                terms.append(Ellipsoid(SpdMatrix(mat)))
-            else:
-                terms.append(ellipsoid_from_general(mat))
+            terms.append(SpdMatrix(mat) if key == "matrix" else ellipsoid_from_general(mat))
         except (SpdError, ValueError) as exc:
             raise SceneValidationError(f"ellipsoid {i}: {exc}") from exc
     return EllipsoidSum(tuple(terms))

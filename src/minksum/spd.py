@@ -1,11 +1,17 @@
 """Dense small-N symmetric positive-definite linear algebra.
 
+Matrices are validated, as `SpdMatrix`, only where they enter the library
+(scene parsing, `EllipsoidSum.from_matrices`, public arguments) and where
+results leave it (`BoundReport` fields, public return values).  In between,
+private helpers pass exactly symmetric raw arrays and check nothing; a
+product such as A @ A goes through `_sym_part`, which returns an exactly
+symmetric array bit for bit.
+
 Eigendecompositions are LAPACK's symmetric solver (`numpy.linalg.eigh`).
 Its output is bitwise reproducible for a fixed LAPACK/BLAS build and a
 fixed BLAS thread count, which is what the byte-identical CLI output
 relies on.  Eigenvector signs are normalized so the factorization does
-not depend on the solver's sign choice.  All derived SPD results are
-explicitly symmetrized before validation to absorb roundoff.
+not depend on the solver's sign choice.
 """
 
 from __future__ import annotations
@@ -35,7 +41,18 @@ def _check_symmetric(mat, tol: float) -> np.ndarray:
     scale = max(np.linalg.norm(mat), 1.0)
     if np.linalg.norm(mat - mat.T) > tol * scale:
         raise SpdError("matrix is not symmetric within tolerance")
+    return _sym_part(mat)
+
+
+def _sym_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
+
+
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and sign-normalized eigenvectors of a symmetric array."""
+    lam, V = np.linalg.eigh(mat)
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return lam, V * np.sign(peak)
 
 
 @dataclass(frozen=True)
@@ -45,10 +62,6 @@ class SymEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return V @ np.diag(self.eigenvalues) @ V.T
-
 
 def sym_eigen(mat) -> SymEigen:
     """Eigendecomposition of a symmetric matrix.
@@ -57,9 +70,8 @@ def sym_eigen(mat) -> SymEigen:
     eigenvector is fixed by making its largest-magnitude entry positive,
     so the factorization is deterministic.
     """
-    lam, V = np.linalg.eigh(_check_symmetric(mat, 1e-10))
-    peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    return SymEigen(eigenvalues=lam, eigenvectors=V * np.sign(peak))
+    lam, V = _eigh(_check_symmetric(mat, 1e-10))
+    return SymEigen(eigenvalues=lam, eigenvectors=V)
 
 
 @dataclass(frozen=True)
@@ -72,9 +84,7 @@ class SpdMatrix:
         m = _check_symmetric(self.entries, SYM_TOL)
         lam = np.linalg.eigvalsh(m)
         if lam[-1] <= 0 or lam[0] <= EPS_PD * lam[-1]:
-            raise SpdError(
-                f"matrix is not positive definite (eigenvalues {lam})"
-            )
+            raise SpdError(f"matrix is not positive definite (eigenvalues {lam})")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -89,20 +99,15 @@ class SpdMatrix:
         return np.asarray(self.entries, dtype=dtype)
 
 
-def _sym_part(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
-
-
-def _spectral(eig: SymEigen, values: np.ndarray) -> np.ndarray:
-    """V diag(values) V^T for the eigenvectors V of `eig`, symmetrized."""
-    V = eig.eigenvectors
+def _spectral(V: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^T, symmetrized."""
     return _sym_part(V @ np.diag(values) @ V.T)
 
 
 def _sqrt_raw(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a symmetric PSD array (no SPD validation)."""
-    eig = sym_eigen(_sym_part(mat))
-    return _spectral(eig, np.sqrt(np.clip(eig.eigenvalues, 0.0, None)))
+    lam, V = _eigh(_sym_part(mat))
+    return _spectral(V, np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def spd_sqrt(mat: SpdMatrix) -> SpdMatrix:
@@ -111,8 +116,20 @@ def spd_sqrt(mat: SpdMatrix) -> SpdMatrix:
 
 
 def _inv_sqrt_raw(mat: np.ndarray) -> np.ndarray:
-    eig = sym_eigen(_sym_part(mat))
-    return _spectral(eig, 1.0 / np.sqrt(eig.eigenvalues))
+    lam, V = _eigh(_sym_part(mat))
+    return _spectral(V, 1.0 / np.sqrt(lam))
+
+
+def _geometric_mean_raw(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Geometric mean of symmetric arrays; one eigendecomposition of P gives P^(+-1/2)."""
+    lam, V = _eigh(p)
+    if lam[0] <= 0.0:
+        raise SpdError("matrix is not positive definite in floating point")
+    root = np.sqrt(lam)
+    ph = _spectral(V, root)
+    phi = _spectral(V, 1.0 / root)
+    inner = _sqrt_raw(phi @ q @ phi)
+    return _sym_part(ph @ inner @ ph)
 
 
 def geometric_mean(p: SpdMatrix, q: SpdMatrix) -> SpdMatrix:
@@ -120,13 +137,7 @@ def geometric_mean(p: SpdMatrix, q: SpdMatrix) -> SpdMatrix:
 
     Midpoint of the geodesic from P to Q in the SPD manifold; symmetric
     in its arguments, and equal to P^(1/2) Q^(1/2) when P and Q commute.
-    P^(1/2) and P^(-1/2) come from one eigendecomposition of P.
     """
     if p.dim != q.dim:
         raise SpdError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    eig = sym_eigen(_sym_part(p.entries))
-    root = np.sqrt(eig.eigenvalues)
-    ph = _spectral(eig, root)
-    phi = _spectral(eig, 1.0 / root)
-    inner = _sqrt_raw(phi @ q.entries @ phi)
-    return SpdMatrix(_sym_part(ph @ inner @ ph))
+    return SpdMatrix(_geometric_mean_raw(p.entries, q.entries))

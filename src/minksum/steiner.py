@@ -156,8 +156,7 @@ def volume_sum_3d_bounds(scene: EllipsoidSum, quad) -> SteinerReport:
 
     vb = quadrature.unit_ball_volume(3)
     mats = scene.matrices
-    a1, a2 = SpdMatrix(mats[0]), SpdMatrix(mats[1])
-    exact = lower = upper = volume_sum_3d_pair(a1, a2, quad)
+    exact = lower = upper = volume_sum_3d_pair(scene.terms[0], scene.terms[1], quad)
     components = [
         {"step": 2, "volume_exact": exact, "volume_lower": lower, "volume_upper": upper}
     ]
@@ -165,20 +164,14 @@ def volume_sum_3d_bounds(scene: EllipsoidSum, quad) -> SteinerReport:
     for k in range(2, len(mats)):
         ak = mats[k]
         det_k = float(np.linalg.det(ak))
-        partial = EllipsoidSum.from_matrices(mats[:k])
+        partial = EllipsoidSum(scene.terms[:k])
         scaled = transform_scene(partial, np.linalg.inv(ak))
 
         mean = quadrature.mean_curvature_integral(scaled, quad)
         area_exact = quadrature.surface_area(scaled, quad)
 
-        inner = bounds.best_inner_john(scaled)
-        outer = bounds.minvol_outer(scaled)
-        area_lo = quadrature.surface_area(
-            EllipsoidSum.from_matrices([inner.entries]), quad
-        )
-        area_hi = quadrature.surface_area(
-            EllipsoidSum.from_matrices([outer.entries]), quad
-        )
+        area_lo = quadrature.surface_area(EllipsoidSum((bounds.best_inner_john(scaled),)), quad)
+        area_hi = quadrature.surface_area(EllipsoidSum((bounds.minvol_outer(scaled),)), quad)
 
         term_exact = det_k * (area_exact + mean) + vb * det_k
         exact += term_exact

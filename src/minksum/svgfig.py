@@ -49,8 +49,8 @@ def render_scene_svg(scene: EllipsoidSum, show=("sum", "inner", "john")) -> str:
 
     ns = quadrature.build_quadrature(2, CURVE_POINTS).nodes
     curves: list[tuple[np.ndarray, str]] = []
-    for a in scene.matrices:
-        single = EllipsoidSum.from_matrices([a])
+    for term in scene.terms:
+        single = EllipsoidSum((term,))
         curves.append((geometry.boundary_points(single, ns), COLORS["term"]))
     if "sum" in show:
         curves.append((geometry.boundary_points(scene, ns), COLORS["sum"]))
@@ -61,7 +61,7 @@ def render_scene_svg(scene: EllipsoidSum, show=("sum", "inner", "john")) -> str:
     }
     for name, fit in fits.items():
         if name in show and (name != "john" or scene.m >= 2):
-            single = EllipsoidSum.from_matrices([fit(scene).entries])
+            single = EllipsoidSum((fit(scene),))
             curves.append((geometry.boundary_points(single, ns), COLORS[name]))
 
     all_pts = np.vstack([c[0] for c in curves])

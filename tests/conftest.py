@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from minksum.geometry import EllipsoidSum
 from minksum.spd import SpdMatrix
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic; scenes at high condition
+# numbers take long enough that a per-example deadline would be noise.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_spd(rng, dim, lo=0.3, hi=3.0):

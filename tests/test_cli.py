@@ -146,11 +146,23 @@ class TestVolumeCommand:
         res = runner.invoke(main, ["volume", path, "--method", "steiner"])
         assert res.exit_code == 0
         payload = json.loads(res.output)
+        assert payload["exact"] is False
         div = json.loads(
             runner.invoke(main, ["volume", path, "--method", "divergence"]).output
         )
         assert payload["lower"] <= div["value"] * (1 + 1e-9)
         assert div["value"] <= payload["upper"] * (1 + 1e-9)
+
+    @pytest.mark.parametrize("m, exact", [(1, True), (2, False)])
+    def test_steiner_3d_exact_flag(self, runner, tmp_path, m, exact):
+        # a 3D pair integrates the rescaled term by quadrature, so it is not exact
+        mats = [np.eye(3), np.diag([1.0, 2.0, 3.0])][:m]
+        path = write_scene(
+            tmp_path, {"dimension": 3, "ellipsoids": [{"matrix": a.tolist()} for a in mats]}
+        )
+        res = runner.invoke(main, ["volume", path, "--method", "steiner"])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["exact"] is exact
 
     def test_montecarlo_requires_seed(self, runner, tmp_path):
         path = write_scene(tmp_path, UNIT_BALL_2D)
@@ -229,6 +241,21 @@ class TestBoundsCommand:
         div = json.loads(runner.invoke(main, ["volume", path]).output)["value"]
         assert payload["lower_volume"] <= div * (1 + 1e-9)
         assert div <= payload["upper_volume"] * (1 + 1e-9)
+
+
+    @pytest.mark.parametrize("command", ["bounds", "plot"])
+    def test_ill_conditioned_term(self, runner, tmp_path, command):
+        # condition 1e6: its square (condition 1e12) would fail SPD
+        # validation, which runs only where matrices enter and leave the library
+        scene = {
+            "dimension": 2,
+            "ellipsoids": [
+                {"matrix": [[1000.0, 0.0], [0.0, 0.001]]},
+                {"matrix": [[1.0, 0.3], [0.3, 2.0]]},
+            ],
+        }
+        res = runner.invoke(main, [command, write_scene(tmp_path, scene)])
+        assert res.exit_code == 0
 
 
 class TestPlotCommand:
@@ -369,13 +396,26 @@ class TestErrorHandling:
         assert res.stderr.startswith("error: ")
 
     def test_bounds_error_exits_5(self, tmp_path):
-        # the default quadrature underestimates this ill-conditioned pair's
-        # area, so the sandwich check fails; a fresh process shows the real stderr
+        # the default quadrature puts this 3D pair's volume (condition 830)
+        # at 583,534, above its upper bound of 517,329, so the sandwich check
+        # fails; a fresh process shows the real stderr
         scene = {
-            "dimension": 2,
+            "dimension": 3,
             "ellipsoids": [
-                {"matrix": [[418.07, 464.25], [464.25, 519.1]]},
-                {"matrix": [[3.98, -2.01], [-2.01, 2.65]]},
+                {
+                    "matrix": [
+                        [225.03765089374824, -221.1758930719932, 99.51134838571774],
+                        [-221.1758930719932, 219.68007348506643, -96.97961398168906],
+                        [99.51134838571774, -96.97961398168906, 45.72483475804166],
+                    ]
+                },
+                {
+                    "matrix": [
+                        [11.26471744257048, -0.6177628670614306, -1.7715620437380037],
+                        [-0.6177628670614306, 10.551826665331696, 4.169331125225045],
+                        [-1.7715620437380037, 4.169331125225045, 3.80052585584085],
+                    ]
+                },
             ],
         }
         path = write_scene(tmp_path, scene)

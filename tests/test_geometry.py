@@ -31,17 +31,17 @@ def ball_scene(*radii):
 
 class TestEllipsoidFromGeneral:
     def test_identity(self):
-        assert np.allclose(ellipsoid_from_general(np.eye(3)).matrix, np.eye(3))
+        assert np.allclose(ellipsoid_from_general(np.eye(3)).entries, np.eye(3))
 
     def test_rotation_gives_ball(self):
         th = 0.7
         r = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        assert np.allclose(ellipsoid_from_general(r).matrix, np.eye(2), atol=1e-12)
+        assert np.allclose(ellipsoid_from_general(r).entries, np.eye(2), atol=1e-12)
 
     def test_shear_membership(self):
         s = np.array([[1.0, 1.0], [0.0, 1.0]])
         e = ellipsoid_from_general(s)
-        ainv2 = np.linalg.inv(e.matrix @ e.matrix)
+        ainv2 = np.linalg.inv(e.entries @ e.entries)
         rng = np.random.default_rng(21)
         u = rng.normal(size=(10_000, 2))
         u *= (rng.uniform(0, 1, 10_000) ** 0.5 / np.linalg.norm(u, axis=1))[:, None]
@@ -308,7 +308,7 @@ class TestSceneJson:
             "ellipsoids": [{"shape": [[1.0, 1.0], [0.0, 1.0]]}],
         }
         sc = scene_from_json(obj)
-        expected = ellipsoid_from_general([[1.0, 1.0], [0.0, 1.0]]).matrix
+        expected = ellipsoid_from_general([[1.0, 1.0], [0.0, 1.0]]).entries
         assert np.allclose(sc.matrices[0], expected)
 
     def test_missing_keys(self):
