@@ -31,6 +31,7 @@ from .quadrature import (
     surface_integral,
     unit_ball_volume,
     volume_divergence,
+    volume_term_charts,
 )
 from .bounds import (
     BoundReport,

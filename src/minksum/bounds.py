@@ -64,7 +64,7 @@ class BoundReport:
 
 def inner_sum_matrix(scene: EllipsoidSum) -> SpdMatrix:
     """A_sum = sum of the shape matrices; E_{A_sum} lies inside the sum."""
-    return SpdMatrix(sum(scene.matrices))
+    return SpdMatrix(np.sum(scene.stack, axis=0))
 
 
 def containment_check(candidate: SpdMatrix, scene: EllipsoidSum, resolution=None) -> bool:
@@ -79,16 +79,17 @@ def containment_check(candidate: SpdMatrix, scene: EllipsoidSum, resolution=None
     if resolution is None:
         resolution = 720 if scene.dim == 2 else 64
     nodes = quadrature.build_quadrature(scene.dim, resolution).nodes
-    scale = float(np.max(geometry.support_values(scene, nodes)))
+    h = geometry.support_values(scene, nodes)
     c = candidate.entries
     c2 = c @ c
     gap = geometry.max_support_gap(
         scene,
         nodes,
+        h,
         lambda ns: np.linalg.norm(ns @ c, axis=1),
         lambda ns: ns @ c2 / np.linalg.norm(ns @ c, axis=1, keepdims=True),
     )
-    return gap <= 1e-9 * scale
+    return gap <= 1e-9 * float(np.max(h))
 
 
 def contact_points(a1: SpdMatrix, a2: SpdMatrix) -> np.ndarray:
@@ -130,7 +131,7 @@ def john_inner_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     return SpdMatrix(_john_pair(a.entries, b.entries))
 
 
-def _bracketings(mats: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+def _bracketings(mats: np.ndarray) -> list[np.ndarray]:
     """All F-composites over distinct binary bracketing orders, memoised by index subset."""
     memo = {(i,): [a] for i, a in enumerate(mats)}
 
@@ -162,17 +163,15 @@ def john_inner_recursive(scene: EllipsoidSum) -> SpdMatrix:
     """
     if scene.m < 3:
         raise ValueError("john_inner_recursive requires at least 3 ellipsoids")
+    # The plain sum is a valid inner candidate and can beat every
+    # F-composite, so it participates in the max.
     det = np.linalg.det
+    plain = np.sum(scene.stack, axis=0)
     if scene.m <= 4:
-        # The plain sum is a valid inner candidate and can beat every
-        # F-composite, so it participates in the max.
-        best = sum(scene.matrices)
-        for cand in _bracketings(scene.matrices):
-            if det(cand) > det(best):
-                best = cand
+        best = max([plain, *_bracketings(scene.stack)], key=det)
     else:
         # pool entries are (label, matrix); a composite is labelled by its parts' labels
-        pool = list(enumerate(scene.matrices))
+        pool = list(enumerate(scene.stack))
         pairs = {}
         while len(pool) > 1:
             best_pair, best_det = None, -np.inf
@@ -186,10 +185,7 @@ def john_inner_recursive(scene: EllipsoidSum) -> SpdMatrix:
                         best_pair, best_det = (i, j, key), pairs[key][1]
             i, j, key = best_pair
             pool = [p for k, p in enumerate(pool) if k not in (i, j)] + [(key, pairs[key][0])]
-        best = pool[0][1]
-        plain = sum(scene.matrices)
-        if det(plain) > det(best):
-            best = plain
+        best = max([pool[0][1], plain], key=det)
     best = SpdMatrix(best)
     if not containment_check(best, scene):
         raise BoundsError("recursive John composite failed the containment check")
@@ -227,10 +223,7 @@ def outer_gamma_matrix(scene: EllipsoidSum, gammas) -> SpdMatrix:
         raise ValueError("gamma values must satisfy sum 1/gamma_i = 1")
     if scene.m == 1:
         return scene.terms[0]
-    total = np.zeros((scene.dim, scene.dim))
-    for g, a in zip(gammas, scene.matrices):
-        total += g * (a @ a)
-    return SpdMatrix(_sqrt_raw(total))
+    return SpdMatrix(_sqrt_raw(np.sum(gammas[:, None, None] * scene.squares, axis=0)))
 
 
 def _pair_spectrum(a1: SpdMatrix, a2: SpdMatrix) -> np.ndarray:
@@ -278,26 +271,26 @@ def heuristic_gammas(scene: EllipsoidSum) -> np.ndarray:
 
     Satisfies the constraint sum 1/gamma'_i = 1 identically.
     """
-    roots = np.array([math.sqrt(np.trace(a @ a)) for a in scene.matrices])
+    roots = np.sqrt(np.trace(scene.squares, axis1=1, axis2=2))
     return float(np.sum(roots)) / roots
+
+
+def _term_norms(scene: EllipsoidSum, l) -> np.ndarray:
+    """|A_i l| for every term, as m dot products (the sums np.linalg.norm takes)."""
+    v = scene.stack @ np.asarray(l, dtype=float)
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def direction_outer_matrix(scene: EllipsoidSum, l) -> SpdMatrix:
     """Outer matrix A(l) = (sum |A_j l|)^(1/2) (sum A_i^2/|A_i l|)^(1/2)."""
-    l = np.asarray(l, dtype=float)
-    s = 0.0
-    mix = np.zeros((scene.dim, scene.dim))
-    for a in scene.matrices:
-        r = float(np.linalg.norm(a @ l))
-        s += r
-        mix += (a @ a) / r
-    return SpdMatrix(_sqrt_raw(s * mix))
+    r = _term_norms(scene, l)
+    mix = np.sum(scene.squares / r[:, None, None], axis=0)
+    return SpdMatrix(_sqrt_raw(float(np.sum(r)) * mix))
 
 
 def direction_gammas(scene: EllipsoidSum, l) -> np.ndarray:
     """Optimal gamma_i for direction l: 1/gamma_i = |A_i l| / sum_j |A_j l|."""
-    l = np.asarray(l, dtype=float)
-    norms = np.array([np.linalg.norm(a @ l) for a in scene.matrices])
+    norms = _term_norms(scene, l)
     return float(np.sum(norms)) / norms
 
 
@@ -311,12 +304,11 @@ def minvol_outer(scene: EllipsoidSum) -> SpdMatrix:
     _FIXED_POINT_TOL, or _FIXED_POINT_CAP times.  The result never has a
     larger determinant than the heuristic outer ellipsoid.
     """
-    squares = [a @ a for a in scene.matrices]
     heuristic = heuristic_gammas(scene)
     w = 1.0 / heuristic
     for _ in range(_FIXED_POINT_CAP):
-        x_inv = np.linalg.inv(sum(q / wi for q, wi in zip(squares, w)))
-        new = np.sqrt([np.trace(x_inv @ q) for q in squares])
+        x_inv = np.linalg.inv(np.sum(scene.squares / w[:, None, None], axis=0))
+        new = np.sqrt(np.trace(x_inv @ scene.squares, axis1=1, axis2=2))
         new /= np.sum(new)
         moved = float(np.max(np.abs(new - w)))
         w = new
@@ -358,7 +350,7 @@ def _bm_chain(scene: EllipsoidSum, vol: float, inner_john: SpdMatrix, inner_sum:
         vol ** (1.0 / dim),
         (vb * inner_john.det()) ** (1.0 / dim),
         (vb * inner_sum.det()) ** (1.0 / dim),
-        float(sum((vb * float(np.linalg.det(a))) ** (1.0 / dim) for a in scene.matrices)),
+        float(sum((vb * float(d)) ** (1.0 / dim) for d in np.linalg.det(scene.stack))),
     )
 
 
@@ -370,7 +362,7 @@ def _volume_of_record(scene: EllipsoidSum, quad) -> float:
         return unit_ball_volume(scene.dim) * scene.terms[0].det()
     if quad is None:
         quad = quadrature.default_quadrature(scene.dim)
-    return quadrature.volume_divergence(scene, quad)
+    return quadrature.volume_term_charts(scene, quad)
 
 
 def brunn_minkowski_chain(a1: SpdMatrix, a2: SpdMatrix, quad=None):
@@ -390,10 +382,11 @@ def volume_bounds(scene: EllipsoidSum, quad=None) -> BoundReport:
     Lower bound: best of det A_sum and the John candidate.  Upper bound:
     best of the fixed-point optimal and trace-heuristic outer ellipsoids.
     The sandwich is checked against the volume of record: the exact area
-    for N = 2, V_B det A for one term, and otherwise the divergence
-    quadrature on `quad`, which therefore only matters for N >= 3 with
-    m >= 2.  The report also carries the Brunn-Minkowski comparison chain,
-    whose first link is that volume to the 1/N.
+    for N = 2, V_B det A for one term, and otherwise the per-term chart
+    quadrature with the node count of `quad` (`volume_term_charts`), so
+    `quad` only matters for N >= 3 with m >= 2.  The report also carries
+    the Brunn-Minkowski comparison chain, whose first link is that volume
+    to the 1/N.
     """
     vb = unit_ball_volume(scene.dim)
 

@@ -173,7 +173,7 @@ def volume(scene_path, method, resolution, samples, seed, out):
             quad = quadrature.build_quadrature(3, resolution)
             if scene.m == 1:
                 payload["value"] = quadrature.unit_ball_volume(3) * float(
-                    np.linalg.det(scene.matrices[0])
+                    np.linalg.det(scene.stack[0])
                 )
             elif scene.m == 2:
                 payload["value"] = steiner.volume_sum_3d_pair(*scene.terms, quad)

@@ -61,12 +61,13 @@ def curvature_stack(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
     ns = np.atleast_2d(np.asarray(normals, dtype=float))
     k, dim = ns.shape
     c = np.zeros((k, dim, dim))
-    for a in scene.matrices:
-        a2 = a @ a
-        r = np.linalg.norm(ns @ a, axis=1)
+    t = np.empty_like(c)  # shared by every term, so no (K, N, N) temporaries
+    # batched over the terms, the (m, K, N, N) temporary would hold m results
+    for a, a2 in zip(scene.stack, scene.squares):
+        r = np.linalg.norm(ns @ a, axis=1)[:, None, None]
         w = ns @ a2
-        c += a2[None, :, :] / r[:, None, None]
-        c -= w[:, :, None] * w[:, None, :] / (r**3)[:, None, None]
+        c += np.divide(a2, r, out=t)
+        c -= np.divide(np.multiply(w[:, :, None], w[:, None, :], out=t), r**3, out=t)
     return c
 
 
@@ -83,14 +84,15 @@ def tangent_basis_stack(normals: np.ndarray) -> np.ndarray:
     n = e_N the basis degenerates to the first N-1 identity columns.
     """
     ns = np.atleast_2d(np.asarray(normals, dtype=float))
-    k, dim = ns.shape
+    dim = ns.shape[1]
     v = ns.copy()
     v[:, -1] -= 1.0
     s = np.einsum("ki,ki->k", v, v)
-    h = np.broadcast_to(np.eye(dim), (k, dim, dim)).copy()
-    ok = s > 1e-28
-    h[ok] -= 2.0 * v[ok, :, None] * v[ok, None, :] / s[ok, None, None]
-    return h[:, :, : dim - 1]
+    identity = ~(s > 1e-28)  # n = e_N: v = 0 leaves the identity columns
+    v[identity], s[identity] = 0.0, 1.0
+    h = 2.0 * v[:, :, None] * v[:, None, : dim - 1]
+    h /= s[:, None, None]
+    return np.subtract(np.eye(dim)[:, : dim - 1], h, out=h)
 
 
 def tangent_basis(n) -> TangentBasis:

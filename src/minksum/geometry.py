@@ -8,16 +8,20 @@ of equal dimension whose Minkowski sum is the object of study.
 The boundary of the sum admits an exact Gauss-map parameterization: the
 point with outward unit normal n is sum_i A_i^2 n / |A_i n|, which is
 positively homogeneous of degree zero in n.
+
+Every formula is a sum over the terms: a scene keeps its term matrices as
+one read-only (m, N, N) `stack` and their squares A_i^2 as `squares`, and
+the kernels sum batched products over axis 0, in term order.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spd import SpdError, SpdMatrix, _sqrt_raw, sym_eigen
+from .spd import SpdError, SpdMatrix, _sqrt_raw
 
 # Condition number above which per-term results are flagged unreliable.
 COND_WARN = 1e8
@@ -36,6 +40,8 @@ class EllipsoidSum:
     """Ordered shape matrices of ellipsoids sharing one dimension; the summed scene."""
 
     terms: tuple[SpdMatrix, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    squares: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -44,15 +50,20 @@ class EllipsoidSum:
         dims = {t.dim for t in terms}
         if len(dims) != 1:
             raise ValueError(f"mixed dimensions in scene: {sorted(dims)}")
-        for i, t in enumerate(terms):
-            lam = sym_eigen(t.entries).eigenvalues
-            if lam[-1] / lam[0] > COND_WARN:
-                warnings.warn(
-                    f"ellipsoid {i} has condition number > {COND_WARN:.0e}; "
-                    "results may be unreliable",
-                    stacklevel=2,
-                )
+        stack = np.stack([t.entries for t in terms])
+        lam = np.linalg.eigvalsh(stack)
+        for i in np.flatnonzero(lam[:, -1] / lam[:, 0] > COND_WARN):
+            warnings.warn(
+                f"ellipsoid {i} has condition number > {COND_WARN:.0e}; "
+                "results may be unreliable",
+                stacklevel=2,
+            )
+        squares = stack @ stack
+        stack.setflags(write=False)
+        squares.setflags(write=False)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "squares", squares)
 
     @classmethod
     def from_matrices(cls, mats) -> "EllipsoidSum":
@@ -65,10 +76,6 @@ class EllipsoidSum:
     @property
     def m(self) -> int:
         return len(self.terms)
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(t.entries for t in self.terms)
 
 
 def ellipsoid_from_general(s) -> SpdMatrix:
@@ -89,11 +96,8 @@ def ellipsoid_from_general(s) -> SpdMatrix:
 def boundary_points(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
     """Boundary points of the sum for rows of (not necessarily unit) normals."""
     ns = np.atleast_2d(np.asarray(normals, dtype=float))
-    out = np.zeros_like(ns)
-    for a in scene.matrices:
-        r = np.linalg.norm(ns @ a, axis=1)
-        out += ns @ (a @ a) / r[:, None]
-    return out
+    r = np.linalg.norm(ns @ scene.stack, axis=2)
+    return np.sum(ns @ scene.squares / r[:, :, None], axis=0)
 
 
 def sum_boundary_point(scene: EllipsoidSum, n) -> np.ndarray:
@@ -118,10 +122,7 @@ def legacy_pair_boundary(a1: SpdMatrix, a2: SpdMatrix, u) -> np.ndarray:
 def support_values(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
     """Support function sum_i |A_i n| evaluated at rows of unit normals."""
     ns = np.atleast_2d(np.asarray(normals, dtype=float))
-    h = np.zeros(ns.shape[0])
-    for a in scene.matrices:
-        h += np.linalg.norm(ns @ a, axis=1)
-    return h
+    return np.sum(np.linalg.norm(ns @ scene.stack, axis=2), axis=0)
 
 
 def support_value(scene: EllipsoidSum, n) -> float:
@@ -135,21 +136,21 @@ def transform_scene(scene: EllipsoidSum, s) -> EllipsoidSum:
     n = s.shape[0]
     if abs(np.linalg.det(s)) <= 1e-12 * np.linalg.norm(s, 2) ** n:
         raise ValueError("transformation matrix is singular")
-    mats = [_sqrt_raw(s @ a @ a @ s.T) for a in scene.matrices]
-    return EllipsoidSum.from_matrices(mats)
+    return EllipsoidSum.from_matrices([_sqrt_raw(s @ a @ a @ s.T) for a in scene.stack])
 
 
-def max_support_gap(scene: EllipsoidSum, nodes, support, gradient) -> float:
+def max_support_gap(scene: EllipsoidSum, nodes, grid_support, support, gradient) -> float:
     """Refined max over unit directions n of s(n) - h(n).
 
     s is the support function of a candidate body and h that of the sum;
-    `support` and `gradient` evaluate s and its gradient at rows of
-    directions.  The max is located on the grid of `nodes` and refined,
+    `grid_support` holds h at the rows of `nodes`, and `support` and
+    `gradient` evaluate s and its gradient at rows of directions.  The
+    max is located on the grid of `nodes` and refined,
     deterministically, by 20 adaptive projected-gradient steps from each
     of the 5 best nodes.  The 5 ascents run in lockstep as the rows of one
     array; a row stops once its projected gradient vanishes.
     """
-    gaps = support(nodes) - support_values(scene, nodes)
+    gaps = support(nodes) - grid_support
     top = np.argsort(gaps, kind="stable")[-5:]
     n, val = nodes[top], gaps[top]
     step = np.full(len(top), 0.05)
@@ -179,9 +180,10 @@ def contains_point(scene: EllipsoidSum, x, grid, tol: float | None = None) -> st
     """
     x = np.asarray(x, dtype=float)
     nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
+    h = support_values(scene, nodes)
     if tol is None:
-        tol = 1e-8 * 2.0 * float(np.max(support_values(scene, nodes)))
-    best = max_support_gap(scene, nodes, lambda ns: ns @ x, lambda ns: x)
+        tol = 1e-8 * 2.0 * float(np.max(h))
+    best = max_support_gap(scene, nodes, h, lambda ns: ns @ x, lambda ns: x)
     if best > tol:
         return "outside"
     if best < -tol:
@@ -193,7 +195,7 @@ def scene_to_json(scene: EllipsoidSum) -> dict:
     """Serializable scene description (matrices row-major)."""
     return {
         "dimension": scene.dim,
-        "ellipsoids": [{"matrix": a.tolist()} for a in scene.matrices],
+        "ellipsoids": [{"matrix": a.tolist()} for a in scene.stack],
     }
 
 

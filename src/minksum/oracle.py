@@ -136,7 +136,6 @@ def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstima
     inner = bounds.inner_sum_matrix(scene)
     inner_q = np.linalg.inv(inner.entries @ inner.entries)
     outer_q = np.linalg.inv(outer.entries @ outer.entries)
-    stack = np.stack(scene.matrices)
     # the quadratic forms sum their rows by a product with ones: numpy's
     # sum over a length-N axis costs several times the whole form
     ones = np.ones(scene.dim)
@@ -150,7 +149,7 @@ def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstima
             accepted.append(int(np.count_nonzero(accept)))
             yield x[~accept & (((x @ outer_q) * x) @ ones <= 1.0)]
 
-    inside, ambiguous = _gauge_test(stack, shell_chunks(), outer_q)
+    inside, ambiguous = _gauge_test(scene.stack, shell_chunks(), outer_q)
     p = (sum(accepted) + inside + ambiguous) / samples
     return McEstimate(
         value=box_volume * p,

@@ -8,11 +8,10 @@ Harmonics and Approximations on the Unit Sphere, 2012), the Gauss rules
 built by the Golub-Welsch eigenvalue method.
 
 `volume_divergence` integrates in the Gauss-map chart of the plain-sum
-ellipsoid: rule nodes u are carried to normals n = Bu/|Bu| with
-B = (sum_i A_i)^-1.  That puts the nodes where the boundary is flattest,
-i.e. where most of it lies per unit of normal.  For one ellipsoid the
-integrand becomes constant in that chart, so its volume is exact at any
-resolution.
+ellipsoid, n = Bu/|Bu| with B = (sum_i A_i)^-1, which makes a single
+ellipsoid's volume exact at any resolution.  `volume_term_charts` gives
+each term A_k its own chart and splits the integrand between them, which
+keeps sums of ill-conditioned terms accurate; `bounds` checks against it.
 
 Node evaluation is vectorized; sums are taken over arrays in fixed node
 order, so repeated runs produce bitwise-identical results.
@@ -165,24 +164,49 @@ def gaussian_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> 
 def volume_divergence(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     """Volume via the divergence theorem: (1/N) integral of h(n) det C~(n).
 
-    The integral is taken in the Gauss-map chart of the ellipsoid with
-    shape matrix sum_i A_i: with B = (sum_i A_i)^-1, each rule node u maps
-    to n = Bu/|Bu| and its weight gains the Jacobian det B / |Bu|^N.  For
-    m = 1 the integrand h det C~ = det(A)^2 / |An|^N times that Jacobian is
-    the constant det A, so the rule returns V_B det A at any resolution.
-    For m >= 2 the chart follows the plain sum's shape only, so the error
-    still grows when the terms are ill-conditioned in different directions.
+    The integral is taken in the Gauss-map chart (`_chart`) of the plain
+    sum, B = (sum_i A_i)^-1.  For m = 1 the integrand h det C~ =
+    det(A)^2 / |An|^N times the chart's Jacobian is the constant det A, so
+    the rule returns V_B det A at any resolution.  For m >= 2 the chart
+    follows the plain sum's shape only, so the error still grows when the
+    terms are ill-conditioned in different directions.
     """
     _check_dim(scene, quad)
-    b = np.linalg.inv(sum(scene.matrices))
-    bu = quad.nodes @ b
-    r = np.linalg.norm(bu, axis=1)
-    chart = SphereQuadrature(
-        quad.dim, bu / r[:, None], quad.weights * (np.linalg.det(b) / r**quad.dim)
-    )
+    chart = _chart(quad, np.linalg.inv(np.sum(scene.stack, axis=0)))
     dets = _area_factors(scene, chart)
     h = geometry.support_values(scene, chart.nodes)
     return float(np.sum(chart.weights * h * dets) / scene.dim)
+
+
+def volume_term_charts(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
+    """The divergence volume integrated in one Gauss-map chart per term.
+
+    Chart k maps rule nodes u to n = A_k^-1 u/|A_k^-1 u|, with density
+    q_k(n) = det A_k / |A_k n|^N on the sphere.  The integrand h det C~ is
+    split into the pieces weighted q_k / sum_j q_j (the balance heuristic of
+    Veach & Guibas, SIGGRAPH 1995), and piece k is integrated in chart k.
+    Each chart has resolution r / m^(1/(N-1)), r being implied by the node
+    count of `quad`, so the total node count stays that of `quad`.  Exact
+    for one ellipsoid and for sums of balls.
+    """
+    _check_dim(scene, quad)
+    dim, m = scene.dim, scene.m
+    base = build_quadrature(dim, max(4, round((len(quad.nodes) / m) ** (1.0 / (dim - 1)))))
+    charts = _chart(base, np.linalg.inv(scene.stack))
+    norms = np.linalg.norm(charts.nodes @ scene.stack, axis=2)
+    q = np.linalg.det(scene.stack)[:, None] / norms**dim
+    own = q.reshape(m, m, -1)[np.arange(m), np.arange(m)].ravel()
+    dets = _area_factors(scene, charts)
+    h = geometry.support_values(scene, charts.nodes)
+    return float(np.sum(charts.weights * own / np.sum(q, axis=0) * h * dets) / dim)
+
+
+def _chart(quad: SphereQuadrature, b: np.ndarray) -> SphereQuadrature:
+    """`quad` carried to n = Bu/|Bu|, weights times det B / |Bu|^N; one chart per B of a stack."""
+    bu = quad.nodes @ b
+    r = np.linalg.norm(bu, axis=-1)
+    weights = quad.weights * (np.linalg.det(b)[..., None] / r**quad.dim)
+    return SphereQuadrature(quad.dim, (bu / r[..., None]).reshape(-1, quad.dim), weights.ravel())
 
 
 def default_resolution(dim: int) -> int:

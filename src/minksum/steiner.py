@@ -110,7 +110,7 @@ def area_sum_2d_recursive(scene: EllipsoidSum) -> float:
     """
     if scene.dim != 2:
         raise ValueError("area_sum_2d_recursive requires a 2D scene")
-    mats = scene.matrices
+    mats = scene.stack
     area = math.pi * float(np.linalg.det(mats[0]))
     for k in range(1, len(mats)):
         ak = mats[k]
@@ -155,14 +155,13 @@ def volume_sum_3d_bounds(scene: EllipsoidSum, quad) -> SteinerReport:
         raise ValueError("volume_sum_3d_bounds requires at least 3 ellipsoids")
 
     vb = quadrature.unit_ball_volume(3)
-    mats = scene.matrices
     exact = lower = upper = volume_sum_3d_pair(scene.terms[0], scene.terms[1], quad)
     components = [
         {"step": 2, "volume_exact": exact, "volume_lower": lower, "volume_upper": upper}
     ]
 
-    for k in range(2, len(mats)):
-        ak = mats[k]
+    for k in range(2, scene.m):
+        ak = scene.stack[k]
         det_k = float(np.linalg.det(ak))
         partial = EllipsoidSum(scene.terms[:k])
         scaled = transform_scene(partial, np.linalg.inv(ak))

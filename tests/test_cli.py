@@ -396,24 +396,32 @@ class TestErrorHandling:
         assert res.stderr.startswith("error: ")
 
     def test_bounds_error_exits_5(self, tmp_path):
-        # the default quadrature puts this 3D pair's volume (condition 830)
-        # at 583,534, above its upper bound of 517,329, so the sandwich check
-        # fails; a fresh process shows the real stderr
+        # every term of this 3D triple has condition 5.6e4-9.5e4; the
+        # per-term chart volume at the default resolution, 1.2e15, falls
+        # below the lower bound of 2.8e15, so the sandwich check fails; a
+        # fresh process shows the real stderr
         scene = {
             "dimension": 3,
             "ellipsoids": [
                 {
                     "matrix": [
-                        [225.03765089374824, -221.1758930719932, 99.51134838571774],
-                        [-221.1758930719932, 219.68007348506643, -96.97961398168906],
-                        [99.51134838571774, -96.97961398168906, 45.72483475804166],
+                        [14137.107084435616, 3688.8268074524244, 28967.081597939807],
+                        [3688.8268074524244, 964.1921523338992, 7577.493057716217],
+                        [28967.08159793981, 7577.493057716219, 60981.28888187557],
                     ]
                 },
                 {
                     "matrix": [
-                        [11.26471744257048, -0.6177628670614306, -1.7715620437380037],
-                        [-0.6177628670614306, 10.551826665331696, 4.169331125225045],
-                        [-1.7715620437380037, 4.169331125225045, 3.80052585584085],
+                        [1312.5414984387473, -10786.644777142494, -246.52445105950113],
+                        [-10786.644777142494, 91678.46304713433, 3035.488460606564],
+                        [-246.52445105950116, 3035.488460606564, 391.69413055241694],
+                    ]
+                },
+                {
+                    "matrix": [
+                        [127697.31029283119, -16728.093016524686, 56223.17648677653],
+                        [-16728.093016524683, 2685.1086772103436, -7491.8142793268],
+                        [56223.17648677653, -7491.8142793268, 24788.718895277438],
                     ]
                 },
             ],

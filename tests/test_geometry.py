@@ -170,14 +170,14 @@ class TestTransformScene:
         rng = np.random.default_rng(17)
         sc = random_scene(rng, 2, 2)
         out = transform_scene(sc, np.eye(2))
-        for a, b in zip(sc.matrices, out.matrices):
+        for a, b in zip(sc.stack, out.stack):
             assert np.allclose(a, b, rtol=1e-12)
 
     def test_scalar_scaling(self):
         rng = np.random.default_rng(18)
         sc = random_scene(rng, 3, 2)
         out = transform_scene(sc, 2.5 * np.eye(3))
-        for a, b in zip(sc.matrices, out.matrices):
+        for a, b in zip(sc.stack, out.stack):
             assert np.allclose(b, 2.5 * a, rtol=1e-12)
 
     def test_support_transformation_law(self):
@@ -266,7 +266,7 @@ class TestMaxSupportGap:
             scale = float(np.max(h))
             if k % 2:
                 x = rng.uniform(0.99, 1.01) * sum_boundary_point(sc, random_unit(rng, dim))
-                got = max_support_gap(sc, nodes, lambda ns: ns @ x, lambda ns: x)
+                got = max_support_gap(sc, nodes, h, lambda ns: ns @ x, lambda ns: x)
                 ref = sequential_max_support_gap(sc, nodes, nodes @ x, lambda n: x @ n, lambda n: x)
                 assert abs(got - ref) <= 1e-12 * scale
                 tol = 1e-8 * 2.0 * scale
@@ -279,6 +279,7 @@ class TestMaxSupportGap:
             got = max_support_gap(
                 sc,
                 nodes,
+                h,
                 lambda ns: np.linalg.norm(ns @ c, axis=1),
                 lambda ns: ns @ c2 / np.linalg.norm(ns @ c, axis=1, keepdims=True),
             )
@@ -299,7 +300,7 @@ class TestSceneJson:
         rng = np.random.default_rng(23)
         sc = random_scene(rng, 2, 3)
         back = scene_from_json(scene_to_json(sc))
-        for a, b in zip(sc.matrices, back.matrices):
+        for a, b in zip(sc.stack, back.stack):
             assert np.allclose(a, b, rtol=1e-15)
 
     def test_shape_key_converted(self):
@@ -309,7 +310,7 @@ class TestSceneJson:
         }
         sc = scene_from_json(obj)
         expected = ellipsoid_from_general([[1.0, 1.0], [0.0, 1.0]]).entries
-        assert np.allclose(sc.matrices[0], expected)
+        assert np.allclose(sc.stack[0], expected)
 
     def test_missing_keys(self):
         with pytest.raises(SceneSchemaError):

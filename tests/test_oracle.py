@@ -207,7 +207,7 @@ def reference_monte_carlo_volume(scene, samples, seed):
     inner = bounds.inner_sum_matrix(scene)
     inner_q = np.linalg.inv(inner.entries @ inner.entries)
     outer_q = np.linalg.inv(outer.entries @ outer.entries)
-    stack = np.stack(scene.matrices)
+    stack = scene.stack
     hits = ambiguous = done = batch_index = 0
     while done < samples:
         count = min(oracle._BATCH, samples - done)

@@ -15,6 +15,7 @@ from minksum.quadrature import (
     surface_integral,
     unit_ball_volume,
     volume_divergence,
+    volume_term_charts,
 )
 
 
@@ -143,7 +144,7 @@ class TestMeanCurvatureIntegral:
         quad = build_quadrature(3, 32)
         a = random_scene(rng, 3, 1)
         b = random_scene(rng, 3, 1)
-        both = EllipsoidSum.from_matrices([a.matrices[0], b.matrices[0]])
+        both = EllipsoidSum.from_matrices([a.stack[0], b.stack[0]])
         total = mean_curvature_integral(both, quad)
         parts = mean_curvature_integral(a, quad) + mean_curvature_integral(b, quad)
         assert total == pytest.approx(parts, rel=1e-10)
@@ -200,7 +201,7 @@ class TestVolumeDivergence:
         for dim, res in ((2, 256), (3, 96)):
             sc = random_scene(rng, dim, 1)
             val = volume_divergence(sc, build_quadrature(dim, res))
-            expected = unit_ball_volume(dim) * np.linalg.det(sc.matrices[0])
+            expected = unit_ball_volume(dim) * np.linalg.det(sc.stack[0])
             assert val == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16), (4, 8), (5, 8)])
@@ -225,3 +226,44 @@ class TestVolumeDivergence:
             sc = random_scene(rng, dim, 3)
             dets = _area_factors(sc, build_quadrature(dim, res))
             assert np.all(dets > 0)
+
+
+class TestVolumeTermCharts:
+    @pytest.mark.parametrize("dim, res", [(3, 24), (4, 8)])
+    def test_ball_sums_exact(self, dim, res):
+        # every chart is the identity and every share is 1/m, so each piece
+        # integrates a constant
+        quad = build_quadrature(dim, res)
+        for radii in ((1.0, 2.5), (0.3, 1.0, 4.0), (1.0, 1.0, 2.0, 0.5)):
+            sc = EllipsoidSum.from_matrices([r * np.eye(dim) for r in radii])
+            expected = unit_ball_volume(dim) * sum(radii) ** dim
+            assert volume_term_charts(sc, quad) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("dim, res", [(2, 32), (3, 16), (4, 8)])
+    def test_single_ellipsoid_exact(self, dim, res):
+        rng = np.random.default_rng(47)
+        quad = build_quadrature(dim, res)
+        for kappa in (1.0, 100.0, 1e4):
+            q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            lam = rng.uniform(0.5, 2.0) * np.geomspace(1.0, kappa, dim)
+            sc = EllipsoidSum.from_matrices([q @ np.diag(lam) @ q.T])
+            expected = unit_ball_volume(dim) * np.prod(lam)
+            assert volume_term_charts(sc, quad) == pytest.approx(expected, rel=1e-10)
+
+    def test_converges_to_plain_chart_when_well_conditioned(self):
+        # the plain chart is already converged at resolution 128 here; the
+        # split pieces are less smooth, so the per-term rule needs more nodes
+        rng = np.random.default_rng(48)
+        for m in (2, 3, 5):
+            sc = random_scene(rng, 3, m)
+            ref = volume_divergence(sc, build_quadrature(3, 128))
+            assert volume_term_charts(sc, build_quadrature(3, 256)) == pytest.approx(ref, rel=1e-9)
+
+    def test_term_order_does_not_matter(self):
+        rng = np.random.default_rng(49)
+        sc = random_scene(rng, 3, 4)
+        quad = build_quadrature(3, 64)
+        flipped = EllipsoidSum(sc.terms[::-1])
+        assert volume_term_charts(flipped, quad) == pytest.approx(
+            volume_term_charts(sc, quad), rel=1e-13
+        )
