@@ -20,11 +20,24 @@ inside.  x.n' > h(n') certifies that x is outside.  The step is the
 majorise-minimise (iteratively reweighted least squares) iteration for
 min h(n) subject to x.n = 1 (Hunter & Lange, Am. Stat. 2004), so both
 certificates tighten as it repeats.
+
+The pool is held component-major: the samples x as an (N, P) array and
+the ratios |A_i n| / x.n as (m, P).  Every step then operates on whole
+pool rows of length P.  numpy pays a per-row overhead on a trailing axis
+of length N = 2..5 that costs several times the arithmetic, so neither
+the pool nor the sampling reduces or broadcasts over one.  Each step
+builds the N(N+1)/2 distinct entries of every H with one matrix product
+and solves H n' = x by an LDL^T factorisation whose loops run over N, in
+place of a batched LAPACK solve, whose per-matrix call overhead on 2x2
+and 3x3 systems exceeds the solve itself.  H is SPD, so the
+factorisation needs no pivoting.  The sums over N add in index order, as
+numpy's reductions over a length-N axis do for N < 8.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -62,6 +75,54 @@ class McEstimate:
         }
 
 
+def _term_norms(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """|A_i n| as an (m, P) array for the columns of an (N, P) array n.
+
+    The squares add in index order, as np.linalg.norm adds them along a
+    row-major n for N < 8.
+    """
+    return np.sqrt(np.sum(np.square(stack @ n), axis=1))
+
+
+def _ldl_solve(h_upper: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve H n = x for every column of a pool of SPD matrices H.
+
+    h_upper holds one row per entry of H's upper triangle, in
+    np.triu_indices order, and one column per pool row; x is (N, P).  H is
+    SPD, so the LDL^T factorisation needs no pivoting.  Its loops run
+    over N, and each step works on whole pool rows.
+    """
+    dim = x.shape[0]
+    # the factorisation visits H_ji, j <= i, in np.triu_indices order
+    entries = iter(h_upper)
+    # ld[i][k] = L_ik d_k and low[i][k] = L_ik for k < i
+    ld = [[None] * dim for _ in range(dim)]
+    low = [[None] * dim for _ in range(dim)]
+    d = []
+    for j in range(dim):
+        for i in range(j, dim):
+            v = next(entries)
+            for k in range(j):
+                v = v - ld[i][k] * low[j][k]
+            if i == j:
+                d.append(v)
+            else:
+                ld[i][j], low[i][j] = v, v / d[j]
+    y = []
+    for i in range(dim):
+        v = x[i]
+        for k in range(i):
+            v = v - low[i][k] * y[k]
+        y.append(v)
+    n = np.empty_like(x)
+    for i in reversed(range(dim)):
+        v = y[i] / d[i]
+        for k in range(i + 1, dim):
+            v = v - low[k][i] * n[k]
+        n[i] = v
+    return n
+
+
 def _gauge_test(
     stack: np.ndarray, shell_chunks: Iterable[np.ndarray], outer_q: np.ndarray
 ) -> tuple[int, int]:
@@ -72,33 +133,38 @@ def _gauge_test(
     the whole pool.  A row leaves at the first step that certifies it
     inside or outside (module docstring), or undecided after its _CAP-th
     step; the pool is topped up from the queue before every step.
+
+    The chunks are row-major (k, N); the pool is component-major (module
+    docstring): x is (N, P) and r is (m, P).  Each step takes H's
+    N(N+1)/2 distinct entries from one product with the upper triangles
+    of the A_i^2 and solves by _ldl_solve.
     """
     m, dim, _ = stack.shape
-    sq = (stack @ stack).reshape(m, dim * dim)
+    upper = np.triu_indices(dim)
+    sq_upper = np.ascontiguousarray((stack @ stack)[:, upper[0], upper[1]].T)
     queue = iter(shell_chunks)
     pending = np.empty((0, dim))
-    x = np.empty((0, dim))
+    x = np.empty((dim, 0))
     r = np.empty((m, 0))
     steps = np.empty(0, dtype=np.int64)
     inside = undecided = 0
     while True:
-        free = _POOL - x.shape[0]
+        free = _POOL - x.shape[1]
         while pending.shape[0] < free and (chunk := next(queue, None)) is not None:
             pending = np.concatenate([pending, chunk])
         if free and pending.shape[0]:
-            new, pending = pending[:free], pending[free:]
+            new, pending = pending[:free].T, pending[free:]
             # the outer ellipsoid's normal at x: the gradient of its form
-            n = new @ outer_q
-            r_new = np.linalg.norm(n @ stack, axis=2) / np.sum(new * n, axis=1)
-            x = np.concatenate([x, new])
+            n = outer_q.T @ new
+            r_new = _term_norms(stack, n) / np.sum(new * n, axis=0)
+            x = np.concatenate([x, new], axis=1)
             r = np.concatenate([r, r_new], axis=1)
-            steps = np.concatenate([steps, np.zeros(new.shape[0], dtype=np.int64)])
-        if x.shape[0] == 0:
+            steps = np.concatenate([steps, np.zeros(new.shape[1], dtype=np.int64)])
+        if x.shape[1] == 0:
             return inside, undecided
-        h = ((1.0 / r).T @ sq).reshape(-1, dim, dim)
-        n = np.linalg.solve(h, x[:, :, None])[:, :, 0]
-        r_new = np.linalg.norm(n @ stack, axis=2)
-        x_dot = np.sum(x * n, axis=1)
+        n = _ldl_solve(sq_upper @ (1.0 / r), x)
+        r_new = _term_norms(stack, n)
+        x_dot = np.sum(x * n, axis=0)
         is_in = np.max(r_new / r, axis=0) <= 1.0
         live = ~is_in & (x_dot <= np.sum(r_new, axis=0))
         steps += 1
@@ -106,9 +172,10 @@ def _gauge_test(
         live &= ~capped
         inside += int(np.count_nonzero(is_in))
         undecided += int(np.count_nonzero(capped))
-        x = x[live]
-        r = r_new[:, live] / x_dot[live]
-        steps = steps[live]
+        keep = np.flatnonzero(live)
+        x = x.take(keep, axis=1)
+        r = r_new.take(keep, axis=1) / x_dot.take(keep)
+        steps = steps.take(keep)
 
 
 def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstimate:
@@ -124,10 +191,18 @@ def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstima
     depends neither on batch nor on pool scheduling.  A sample that test
     leaves undecided after _CAP steps of its own is counted as inside and
     reported in `ambiguous`.
+
+    Each batch is scaled by a product with diag(half), which is bitwise
+    the broadcast u * half, and its shell rows are selected by index
+    (take), not by a boolean mask: both avoid numpy's per-row work on the
+    short trailing axis.  `samples` and `seed` must be integers
+    (operator.index); `seed` must be non-negative.
     """
+    samples, seed = operator.index(samples), operator.index(seed)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     outer = bounds.minvol_outer(scene)
     half = np.sqrt(np.diag(outer.entries @ outer.entries))
@@ -139,15 +214,17 @@ def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstima
     # the quadratic forms sum their rows by a product with ones: numpy's
     # sum over a length-N axis costs several times the whole form
     ones = np.ones(scene.dim)
+    scale = np.diag(half)
     accepted = []
 
     def shell_chunks():
         for batch_index, start in enumerate(range(0, samples, _BATCH)):
             rng = np.random.default_rng([seed, batch_index])
-            x = rng.uniform(-1.0, 1.0, size=(_BATCH, scene.dim))[: samples - start] * half
+            x = rng.uniform(-1.0, 1.0, size=(_BATCH, scene.dim))[: samples - start] @ scale
             accept = ((x @ inner_q) * x) @ ones <= 1.0
             accepted.append(int(np.count_nonzero(accept)))
-            yield x[~accept & (((x @ outer_q) * x) @ ones <= 1.0)]
+            shell = ~accept & (((x @ outer_q) * x) @ ones <= 1.0)
+            yield x.take(np.flatnonzero(shell), axis=0)
 
     inside, ambiguous = _gauge_test(scene.stack, shell_chunks(), outer_q)
     p = (sum(accepted) + inside + ambiguous) / samples

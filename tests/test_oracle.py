@@ -272,6 +272,132 @@ class TestGaugePool:
             assert expected.ambiguous > 0
 
 
+def row_major_gauge_test(stack, shell_chunks, outer_q):
+    """The row-major pool that the component-major _gauge_test replaced:
+    x is (P, N), r is (m, P), H is solved by a batched np.linalg.solve and
+    the pool is compacted with boolean masks."""
+    m, dim, _ = stack.shape
+    sq = (stack @ stack).reshape(m, dim * dim)
+    queue = iter(shell_chunks)
+    pending = np.empty((0, dim))
+    x = np.empty((0, dim))
+    r = np.empty((m, 0))
+    steps = np.empty(0, dtype=np.int64)
+    inside = undecided = 0
+    while True:
+        free = oracle._POOL - x.shape[0]
+        while pending.shape[0] < free and (chunk := next(queue, None)) is not None:
+            pending = np.concatenate([pending, chunk])
+        if free and pending.shape[0]:
+            new, pending = pending[:free], pending[free:]
+            n = new @ outer_q
+            r_new = np.linalg.norm(n @ stack, axis=2) / np.sum(new * n, axis=1)
+            x = np.concatenate([x, new])
+            r = np.concatenate([r, r_new], axis=1)
+            steps = np.concatenate([steps, np.zeros(new.shape[0], dtype=np.int64)])
+        if x.shape[0] == 0:
+            return inside, undecided
+        h = ((1.0 / r).T @ sq).reshape(-1, dim, dim)
+        n = np.linalg.solve(h, x[:, :, None])[:, :, 0]
+        r_new = np.linalg.norm(n @ stack, axis=2)
+        x_dot = np.sum(x * n, axis=1)
+        is_in = np.max(r_new / r, axis=0) <= 1.0
+        live = ~is_in & (x_dot <= np.sum(r_new, axis=0))
+        steps += 1
+        capped = live & (steps == oracle._CAP)
+        live &= ~capped
+        inside += int(np.count_nonzero(is_in))
+        undecided += int(np.count_nonzero(capped))
+        x = x[live]
+        r = r_new[:, live] / x_dot[live]
+        steps = steps[live]
+
+
+class TestLdlSolve:
+    # Both solvers are backward stable on SPD systems, so each solution's
+    # relative error is at most c(N) eps cond(H), and so is their distance;
+    # c(N) = 8 N^2 is a generous constant for these small orders.
+    EPS = np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_matches_lapack_solve(self, dim, cond):
+        rng = np.random.default_rng(int(100 * dim + math.log10(cond)))
+        h = np.stack([spd_with_condition(rng, dim, cond) for _ in range(500)])
+        h = 0.5 * (h + h.transpose(0, 2, 1))  # both solvers see the same H
+        x = rng.normal(size=(500, dim))
+        upper = np.triu_indices(dim)
+        n = oracle._ldl_solve(np.ascontiguousarray(h[:, upper[0], upper[1]].T), x.T.copy()).T
+        ref = np.linalg.solve(h, x[:, :, None])[:, :, 0]
+        tol = 8 * dim**2 * self.EPS
+        err = np.linalg.norm(n - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.all(err <= tol * cond)
+        # the backward error does not grow with cond(H)
+        residual = np.linalg.norm(np.einsum("kij,kj->ki", h, n) - x, axis=1)
+        scale = np.linalg.norm(h, axis=(1, 2)) * np.linalg.norm(n, axis=1)
+        assert np.all(residual <= tol * scale)
+
+
+class TestComponentMajorPool:
+    # Shells of seeded scenes, split into uneven row-major chunks, at points
+    # within 2% of the boundary and (every fifth row) within 1e-6 of it,
+    # where the ill-conditioned scenes leave rows undecided.  The
+    # component-major pool must decide every row as the row-major one does.
+    SCENES = [(2 + i % 4, 1 + i % 6, (1.0, 30.0, 300.0, 3e3)[i % 4], i) for i in range(44)]
+
+    @staticmethod
+    def shell(case):
+        dim, m, cond, seed = case
+        rng = np.random.default_rng(1000 + seed)
+        sc = EllipsoidSum.from_matrices(
+            [spd_with_condition(rng, dim, cond) for _ in range(m)]
+        )
+        outer = bounds.minvol_outer(sc).entries
+        rows = 5000 if seed % 3 == 0 else 1200
+        scale = rng.uniform(0.98, 1.02, size=rows)
+        scale[::5] = 1.0 + rng.uniform(-1e-6, 1e-6, size=len(scale[::5]))
+        x = scale[:, None] * boundary_points(sc, rng.normal(size=(rows, dim)))
+        chunks = np.split(x, [rows // 7, rows // 3, rows // 3 + 1])
+        return sc.stack, chunks, np.linalg.inv(outer @ outer)
+
+    @pytest.mark.parametrize("pool", [None, 97], ids=["default-pool", "pool-97"])
+    def test_matches_row_major_pool(self, pool, monkeypatch):
+        if pool is not None:
+            monkeypatch.setattr(oracle, "_POOL", pool)
+        undecided = 0
+        for case in self.SCENES:
+            stack, chunks, outer_q = self.shell(case)
+            expected = row_major_gauge_test(stack, chunks, outer_q)
+            assert _gauge_test(stack, chunks, outer_q) == expected, case
+            undecided += expected[1]
+        assert undecided > 0
+
+
+class TestSeedAndSampleContract:
+    SCENE = EllipsoidSum.from_matrices([np.diag([2.0, 1.0])])
+
+    @pytest.mark.parametrize(
+        "samples, seed, error, match",
+        [
+            (5000, 1.7, TypeError, None),
+            (5000.0, 1, TypeError, None),
+            (5000, "1", TypeError, None),
+            (5000, -1, ValueError, "seed"),
+            (5000, np.int64(-3), ValueError, "seed"),
+            (999, 1, ValueError, "samples"),
+        ],
+    )
+    def test_rejected(self, samples, seed, error, match):
+        with pytest.raises(error, match=match):
+            monte_carlo_volume(self.SCENE, samples, seed)
+
+    @pytest.mark.parametrize("samples, seed", [(np.int64(5000), 1), (5000, np.int32(1))])
+    def test_numpy_integers_accepted(self, samples, seed):
+        est = monte_carlo_volume(self.SCENE, samples, seed)
+        assert est == monte_carlo_volume(self.SCENE, 5000, 1)
+        assert type(est.samples) is int and type(est.seed) is int
+
+
 class TestPolylinePerimeter:
     def test_unit_disk(self):
         sc = EllipsoidSum.from_matrices([np.eye(2)])
