@@ -53,7 +53,9 @@ from .steiner import (
     area_sum_2d_pair,
     area_sum_2d_recursive,
     elliptic_E,
+    mixed_volumes_3d,
     volume_sum_3d_bounds,
+    volume_sum_3d_mixed,
     volume_sum_3d_pair,
 )
 from .oracle import McEstimate, monte_carlo_volume, polyline_perimeter

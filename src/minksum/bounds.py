@@ -360,6 +360,8 @@ def _volume_of_record(scene: EllipsoidSum, quad) -> float:
         return steiner.area_sum_2d_recursive(scene)
     if scene.m == 1:
         return unit_ball_volume(scene.dim) * scene.terms[0].det()
+    if scene.dim == 3:
+        return steiner.volume_sum_3d_mixed(scene, quad)
     if quad is None:
         quad = quadrature.default_quadrature(scene.dim)
     return quadrature.volume_term_charts(scene, quad)
@@ -382,11 +384,14 @@ def volume_bounds(scene: EllipsoidSum, quad=None) -> BoundReport:
     Lower bound: best of det A_sum and the John candidate.  Upper bound:
     best of the fixed-point optimal and trace-heuristic outer ellipsoids.
     The sandwich is checked against the volume of record: the exact area
-    for N = 2, V_B det A for one term, and otherwise the per-term chart
-    quadrature with the node count of `quad` (`volume_term_charts`), so
-    `quad` only matters for N >= 3 with m >= 2.  The report also carries
-    the Brunn-Minkowski comparison chain, whose first link is that volume
-    to the 1/N.
+    for N = 2, V_B det A for one term, the mixed volumes for N = 3
+    (`steiner.volume_sum_3d_mixed`: closed for m = 2, with the triple
+    terms on the upper hemisphere of `quad` for m >= 3), and for N >= 4
+    the per-term chart quadrature with the node count of `quad`
+    (`volume_term_charts`).  So `quad` only matters for N = 3 with m >= 3
+    and for N >= 4 with m >= 2.  The report also carries the
+    Brunn-Minkowski comparison chain, whose first link is that volume to
+    the 1/N.
     """
     vb = unit_ball_volume(scene.dim)
 

@@ -170,22 +170,18 @@ def volume(scene_path, method, resolution, samples, seed, out):
         if scene.dim == 2:
             payload["value"] = steiner.area_sum_2d_recursive(scene)
         elif scene.dim == 3:
-            quad = quadrature.build_quadrature(3, resolution)
-            if scene.m == 1:
-                payload["value"] = quadrature.unit_ball_volume(3) * float(
-                    np.linalg.det(scene.stack[0])
-                )
-            elif scene.m == 2:
-                payload["value"] = steiner.volume_sum_3d_pair(*scene.terms, quad)
+            if scene.m <= 2:
+                payload["value"] = steiner.volume_sum_3d_mixed(scene)
             else:
+                quad = quadrature.build_quadrature(3, resolution)
                 report = steiner.volume_sum_3d_bounds(scene, quad)
                 payload["value"] = report.exact_value
                 payload["lower"] = report.lower
                 payload["upper"] = report.upper
         else:
             _fail(EXIT_NUMERIC, "steiner method supports N in {2, 3} only")
-        # 3D values with m >= 2 integrate a rescaled term by quadrature
-        payload["exact"] = scene.dim == 2 or scene.m == 1
+        # 3D triple terms (m >= 3) are sphere means taken by quadrature
+        payload["exact"] = scene.dim == 2 or scene.m <= 2
     else:
         _check_seed(seed, "--seed is required for the montecarlo method")
         est = oracle.monte_carlo_volume(scene, samples, seed)

@@ -183,8 +183,9 @@ def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstima
 
     Samples uniformly in the axis-aligned bounding box of the
     direction-optimal outer ellipsoid, in batches of _BATCH drawn from
-    the substreams (seed, batch index).  Samples in the inner sum
-    ellipsoid are inside and samples outside the outer ellipsoid are
+    the substreams (seed, batch index); the last batch draws only the
+    rows it uses, the leading rows of a full batch.  Samples in the inner
+    sum ellipsoid are inside and samples outside the outer ellipsoid are
     outside; the shell between them queues for the certified gauge test
     (module docstring), which runs one pool of at most _POOL rows over the
     whole estimate.  Each row is decided independently, so the estimate
@@ -220,7 +221,7 @@ def monte_carlo_volume(scene: EllipsoidSum, samples: int, seed: int) -> McEstima
     def shell_chunks():
         for batch_index, start in enumerate(range(0, samples, _BATCH)):
             rng = np.random.default_rng([seed, batch_index])
-            x = rng.uniform(-1.0, 1.0, size=(_BATCH, scene.dim))[: samples - start] @ scale
+            x = rng.uniform(-1.0, 1.0, size=(min(_BATCH, samples - start), scene.dim)) @ scale
             accept = ((x @ inner_q) * x) @ ones <= 1.0
             accepted.append(int(np.count_nonzero(accept)))
             shell = ~accept & (((x @ outer_q) * x) @ ones <= 1.0)

@@ -11,7 +11,10 @@ built by the Golub-Welsch eigenvalue method.
 ellipsoid, n = Bu/|Bu| with B = (sum_i A_i)^-1, which makes a single
 ellipsoid's volume exact at any resolution.  `volume_term_charts` gives
 each term A_k its own chart and splits the integrand between them, which
-keeps sums of ill-conditioned terms accurate; `bounds` checks against it.
+keeps sums of ill-conditioned terms accurate; `bounds` checks against it
+for N >= 4.  In 3D it checks against the mixed volumes of
+`steiner.volume_sum_3d_mixed`, which take only their triple terms from
+the upper hemisphere of this rule.
 
 Node evaluation is vectorized; sums are taken over arrays in fixed node
 order, so repeated runs produce bitwise-identical results.

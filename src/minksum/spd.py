@@ -8,10 +8,14 @@ product such as A @ A goes through `_sym_part`, which returns an exactly
 symmetric array bit for bit.
 
 Eigendecompositions are LAPACK's symmetric solver (`numpy.linalg.eigh`).
-Its output is bitwise reproducible for a fixed LAPACK/BLAS build and a
-fixed BLAS thread count, which is what the byte-identical CLI output
-relies on.  Eigenvector signs are normalized so the factorization does
-not depend on the solver's sign choice.
+Its output is bitwise reproducible for a fixed LAPACK/BLAS build, kernel
+set and BLAS thread count, which is what the byte-identical CLI output
+relies on.  numpy's bundled OpenBLAS picks its kernels by CPU (SkylakeX on
+AVX-512 machines, Haswell on AVX2 ones), and the kernels sum in different
+orders, so low bits differ between them; the test suite's bitwise goldens
+are captured under the Haswell kernels (OPENBLAS_CORETYPE=Haswell, which
+tests/conftest.py sets).  Eigenvector signs are normalized so the
+factorization does not depend on the solver's sign choice.
 """
 
 from __future__ import annotations

@@ -1,5 +1,12 @@
 """Shared fixtures and random-matrix helpers for the test suite."""
 
+import os
+
+# The bitwise goldens hold for one OpenBLAS kernel set: pin numpy's
+# bundled OpenBLAS to its Haswell (AVX2) kernels, which every x86-64 CPU
+# with AVX2 runs, before numpy loads.  An explicit setting wins.
+os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
+
 import numpy as np
 import pytest
 from hypothesis import settings

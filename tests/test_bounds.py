@@ -557,7 +557,9 @@ class TestVolumeBounds:
         # re-captured again for the 2D scenes when the exact area became
         # the volume of record; scenes 2, 7 and 11 stored null until then.
         # The 3D scenes (12-23) were re-captured when the per-term chart
-        # quadrature became their volume of record.
+        # quadrature became their volume of record, and again when the
+        # mixed volumes did.  All 24 were re-captured at that point under
+        # the Haswell OpenBLAS kernels that conftest pins.
         golden = json.loads(GOLDEN_BOUNDS.read_text())
         scenes = list(golden_scenes())
         assert len(scenes) == len(golden) == 24
@@ -635,7 +637,8 @@ class TestConditionContract:
     def test_3d_sandwich_holds_at_moderate_condition(self, seed, log_kappas):
         # with the plain-sum chart the volume of record fell outside the
         # bounds on about 6% of such draws, with the per-term charts on
-        # under 1% (none of these derandomized examples)
+        # under 1% (none of these derandomized examples); the mixed volume
+        # is the volume of record now
         mats = every_term_conditioned(seed, 3, [10.0**k for k in log_kappas])
         volume_bounds(EllipsoidSum.from_matrices(mats))
 

@@ -153,10 +153,10 @@ class TestVolumeCommand:
         assert payload["lower"] <= div["value"] * (1 + 1e-9)
         assert div["value"] <= payload["upper"] * (1 + 1e-9)
 
-    @pytest.mark.parametrize("m, exact", [(1, True), (2, False)])
+    @pytest.mark.parametrize("m, exact", [(1, True), (2, True), (3, False)])
     def test_steiner_3d_exact_flag(self, runner, tmp_path, m, exact):
-        # a 3D pair integrates the rescaled term by quadrature, so it is not exact
-        mats = [np.eye(3), np.diag([1.0, 2.0, 3.0])][:m]
+        # a 3D pair is closed-form; triple terms are sphere means by quadrature
+        mats = [np.eye(3), np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 1.0, 1.0])][:m]
         path = write_scene(
             tmp_path, {"dimension": 3, "ellipsoids": [{"matrix": a.tolist()} for a in mats]}
         )
@@ -396,32 +396,32 @@ class TestErrorHandling:
         assert res.stderr.startswith("error: ")
 
     def test_bounds_error_exits_5(self, tmp_path):
-        # every term of this 3D triple has condition 5.6e4-9.5e4; the
-        # per-term chart volume at the default resolution, 1.2e15, falls
-        # below the lower bound of 2.8e15, so the sandwich check fails; a
-        # fresh process shows the real stderr
+        # every term of this 3D triple has condition 1.0e4-1.1e6; its best
+        # recursive John composite fails the containment check (under the
+        # SkylakeX, Haswell, SandyBridge and Zen OpenBLAS kernels alike), so
+        # `bounds` raises BoundsError; a fresh process shows the real stderr
         scene = {
             "dimension": 3,
             "ellipsoids": [
                 {
                     "matrix": [
-                        [14137.107084435616, 3688.8268074524244, 28967.081597939807],
-                        [3688.8268074524244, 964.1921523338992, 7577.493057716217],
-                        [28967.08159793981, 7577.493057716219, 60981.28888187557],
+                        [286188.2829068154, -192202.0767183953, -79167.47985154057],
+                        [-192202.0767183953, 129102.11659858121, 53059.54931068316],
+                        [-79167.47985154059, 53059.549310683164, 22518.448521902366],
                     ]
                 },
                 {
                     "matrix": [
-                        [1312.5414984387473, -10786.644777142494, -246.52445105950113],
-                        [-10786.644777142494, 91678.46304713433, 3035.488460606564],
-                        [-246.52445105950116, 3035.488460606564, 391.69413055241694],
+                        [15084.388458939633, -4182.325492662615, 5876.834394254099],
+                        [-4182.325492662615, 1354.9499679615888, -1644.6690446466068],
+                        [5876.834394254099, -1644.6690446466068, 2292.811559413493],
                     ]
                 },
                 {
                     "matrix": [
-                        [127697.31029283119, -16728.093016524686, 56223.17648677653],
-                        [-16728.093016524683, 2685.1086772103436, -7491.8142793268],
-                        [56223.17648677653, -7491.8142793268, 24788.718895277438],
+                        [219881.8717227814, 295849.5566657184, 171579.53780728977],
+                        [295849.5566657184, 398319.4597683407, 230509.76861796505],
+                        [171579.53780728977, 230509.76861796505, 134371.8009214614],
                     ]
                 },
             ],
@@ -435,7 +435,7 @@ class TestErrorHandling:
         )
         assert out.returncode == 5
         assert out.stdout == ""
-        assert out.stderr.startswith("error: bound sandwich violated")
+        assert out.stderr.startswith("error: recursive John composite failed the containment check")
         assert "Traceback" not in out.stderr
 
     def test_write_failure(self, runner, tmp_path):

@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -169,3 +173,17 @@ class TestGeometricMean:
             inner = _sqrt_raw(phi @ q.entries @ phi)
             ref = _sym_part(ph @ inner @ ph)
             assert np.array_equal(geometric_mean(p, q).entries, ref)
+
+
+class TestBlasKernel:
+    def test_bundled_openblas_runs_the_pinned_kernel(self):
+        # conftest sets OPENBLAS_CORETYPE before numpy loads; the goldens
+        # (golden_bounds.json, the Monte Carlo goldens) hold for the Haswell
+        # kernels, which OpenBLAS also runs for OPENBLAS_CORETYPE=Zen
+        libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+        libs = glob.glob(os.path.join(libdir, "libscipy_openblas*.so*"))
+        if not libs:
+            pytest.skip("numpy does not bundle scipy-openblas")
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        assert corename() == b"Haswell"
