@@ -49,7 +49,7 @@ def _check_symmetric(mat, tol: float) -> np.ndarray:
 
 
 def _sym_part(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -396,32 +396,25 @@ class TestErrorHandling:
         assert res.stderr.startswith("error: ")
 
     def test_bounds_error_exits_5(self, tmp_path):
-        # every term of this 3D triple has condition 1.0e4-1.1e6; its best
-        # recursive John composite fails the containment check (under the
-        # SkylakeX, Haswell, SandyBridge and Zen OpenBLAS kernels alike), so
-        # `bounds` raises BoundsError; a fresh process shows the real stderr
+        # a well-conditioned term plus one of condition 3e8: the outer matrix
+        # (sum gamma_i A_i^2)^(1/2) squares that term, loses its small
+        # eigenvalue, and its volume falls 12% below the exact area (under the
+        # Haswell, SkylakeX and Zen OpenBLAS kernels; 29% under SandyBridge),
+        # so `bounds` raises BoundsError; a fresh process shows the real
+        # stderr, which starts with the condition-number warning
         scene = {
-            "dimension": 3,
+            "dimension": 2,
             "ellipsoids": [
                 {
                     "matrix": [
-                        [286188.2829068154, -192202.0767183953, -79167.47985154057],
-                        [-192202.0767183953, 129102.11659858121, 53059.54931068316],
-                        [-79167.47985154059, 53059.549310683164, 22518.448521902366],
+                        [1.4643309777973752, 0.28778523094848363],
+                        [0.2877852309484836, 1.695011418348562],
                     ]
                 },
                 {
                     "matrix": [
-                        [15084.388458939633, -4182.325492662615, 5876.834394254099],
-                        [-4182.325492662615, 1354.9499679615888, -1644.6690446466068],
-                        [5876.834394254099, -1644.6690446466068, 2292.811559413493],
-                    ]
-                },
-                {
-                    "matrix": [
-                        [219881.8717227814, 295849.5566657184, 171579.53780728977],
-                        [295849.5566657184, 398319.4597683407, 230509.76861796505],
-                        [171579.53780728977, 230509.76861796505, 134371.8009214614],
+                        [32216633.134112366, -124279402.30497065],
+                        [-124279402.30497065, 479422248.92233276],
                     ]
                 },
             ],
@@ -435,7 +428,7 @@ class TestErrorHandling:
         )
         assert out.returncode == 5
         assert out.stdout == ""
-        assert out.stderr.startswith("error: recursive John composite failed the containment check")
+        assert "\nerror: bound sandwich violated: " in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_write_failure(self, runner, tmp_path):
