@@ -6,10 +6,11 @@ JSON report), plot (deterministic SVG figure, 2D only), oracle
 (Monte-Carlo estimate).
 
 Exit codes: 1 scene schema error, 2 numeric validation error (any
-ValueError a command raises), 3 I/O error, 4 plot requested for a non-2D
-scene, 5 a bound violated a guaranteed inequality (BoundsError).  Data
-goes to --out or stdout; diagnostics to stderr.  Monte-Carlo commands
-require an explicit --seed; there is no wall-clock seeding.
+ValueError or ArithmeticError a command raises), 3 I/O error, 4 plot
+requested for a non-2D scene, 5 a bound violated a guaranteed inequality
+(BoundsError).  Data goes to --out or stdout; diagnostics to stderr.
+Monte-Carlo commands require an explicit --seed; there is no wall-clock
+seeding.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ def _fail(code: int, message: str):
 
 
 def _numeric_errors(command):
-    """Report a library ValueError as exit code 2 and a BoundsError as 5."""
+    """Report a library ValueError or ArithmeticError as exit 2, a BoundsError as 5."""
 
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             _fail(EXIT_NUMERIC, str(exc))
         except bounds.BoundsError as exc:
             _fail(EXIT_BOUNDS, str(exc))

@@ -17,12 +17,15 @@ for N >= 4.  In 3D it checks against the mixed volumes of
 the upper hemisphere of this rule.
 
 Node evaluation is vectorized; sums are taken over arrays in fixed node
-order, so repeated runs produce bitwise-identical results.
+order, so repeated runs produce bitwise-identical results.  Sphere rules
+are cached and shared, with read-only arrays: copy them before writing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +76,19 @@ def build_quadrature(dim: int, resolution: int) -> SphereQuadrature:
     integrates polynomials of degree < resolution exactly, so the weights
     sum to the sphere measure.  At dim = 3 the node (i, j) is
     (rho_i cos psi_j, rho_i sin psi_j, u_i), row i * resolution + j.
+    Cached on (dim, resolution): every call returns the same rule, whose
+    arrays are read-only, so a caller that writes to them copies first.
     """
     if dim < 2:
         raise ValueError("quadrature requires dim >= 2")
     if resolution < 4:
         raise ValueError("resolution must be at least 4")
+    return _rule(operator.index(dim), operator.index(resolution))
 
+
+@functools.lru_cache(maxsize=16)
+def _rule(dim: int, resolution: int) -> SphereQuadrature:
+    """The build behind `build_quadrature`; the cache keeps the 16 latest rules."""
     theta = 2.0 * np.pi * np.arange(resolution) / resolution
     nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     weights = np.full(resolution, 2.0 * np.pi / resolution)
@@ -92,6 +102,8 @@ def build_quadrature(dim: int, resolution: int) -> SphereQuadrature:
             ]
         )
         weights = np.outer(w, weights).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return SphereQuadrature(dim, nodes, weights)
 
 

@@ -29,7 +29,7 @@ from minksum.bounds import (
     outer_gamma_matrix,
     volume_bounds,
 )
-from minksum.bounds import _kv, _kv_fixed_point, _pair_spectrum
+from minksum.bounds import _KV_CAP, _KV_TOL, _abs, _kv, _kv_fixed_point, _kv_sum, _pair_spectrum
 from minksum.geometry import EllipsoidSum, support_values, transform_scene
 from minksum.spd import SpdError, SpdMatrix, _geometric_mean_raw, _sqrt_raw, _sym_part
 
@@ -249,7 +249,46 @@ def reference_bracketings(mats):
                     yield geometric_mean_f(lt, rt)
 
 
+def reference_kv_fixed_point(stack):
+    """Reference: the fixed point with an SVD 2-norm stop test and a separate
+    square-root eigendecomposition; returns T and the number of P evaluations."""
+    t = np.sum(stack, axis=0)
+    for evaluations in range(1, _KV_CAP + 1):
+        p = _kv_sum(stack, t)
+        if np.linalg.norm(p - np.eye(len(p)), 2) <= _KV_TOL:
+            break
+        t = _abs(_sqrt_raw(p) @ t)
+    return t, evaluations
+
+
+def kv_reference_stacks():
+    """The 40 ill-conditioned scenes below, and three seeded scenes per N = 2, 3 and m = 3..6."""
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 23])
+        dim, m = int(rng.integers(2, 4)), int(rng.integers(3, 5))
+        kappas = 10.0 ** rng.uniform(4.0, 7.0, m)
+        yield EllipsoidSum.from_matrices(every_term_conditioned(seed, dim, kappas)).stack
+    rng = np.random.default_rng(93)
+    for dim, m in itertools.product((2, 3), range(3, 7)):
+        for _ in range(3):
+            yield random_scene(rng, dim, m).stack
+
+
 class TestKvFixedPoint:
+    def test_matches_svd_stop_reference(self, monkeypatch):
+        calls = []
+
+        def counted(stack, t):
+            calls.append(None)
+            return _kv_sum(stack, t)
+
+        monkeypatch.setattr("minksum.bounds._kv_sum", counted)
+        for stack in kv_reference_stacks():
+            ref, evaluations = reference_kv_fixed_point(stack)
+            calls.clear()
+            assert _kv_fixed_point(stack).tobytes() == ref.tobytes()
+            assert len(calls) == evaluations
+
     def test_beats_every_composite(self):
         rng = np.random.default_rng(90)
         for dim, m in ((2, 3), (3, 3), (2, 4), (3, 4)) * 3:

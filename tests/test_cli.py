@@ -3,13 +3,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minksum
+from conftest import random_spd
 from minksum.cli import main
 from minksum.steiner import area_sum_2d_pair
 from minksum.spd import SpdMatrix
@@ -431,6 +435,23 @@ class TestErrorHandling:
         assert "\nerror: bound sandwich violated: " in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-150])
+    @pytest.mark.parametrize("command", [["bounds"], ["volume", "--method", "steiner"]])
+    def test_extreme_magnitude_exits_2(self, runner, tmp_path, scale, command):
+        # one term of a 3D pair scaled to 1e300 or 1e-150: the products
+        # overflow or underflow (numpy's RuntimeWarnings, left aside here)
+        # and Carlson's R_G divides by zero, which exits 2 like any
+        # numeric error instead of ending in a traceback
+        rng = np.random.default_rng(5)
+        mats = [random_spd(rng, 3) * scale, random_spd(rng, 3)]
+        path = write_scene(tmp_path, {"dimension": 3, "ellipsoids": [{"matrix": a.tolist()} for a in mats]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = runner.invoke(main, [command[0], path, *command[1:]], catch_exceptions=False)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "error: " in res.stderr
+
     def test_write_failure(self, runner, tmp_path):
         path = write_scene(tmp_path, UNIT_BALL_2D)
         res = runner.invoke(main, ["volume", path, "--out", "/nonexistent/dir/out.json"])
@@ -483,3 +504,117 @@ class TestStartup:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.split() == ["[]", "[]"]
+
+
+BROKEN_ENTRIES = [
+    "nonsymmetric", "singular", "indefinite", "nonfinite", "ragged", "nonsquare",
+    "wrong_size", "empty", "scalar", "strings", "nulls", "objects",
+]
+
+
+def _entry(draw, n, kind):
+    """An n x n matrix entry: SPD, or broken in the way `kind` names."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    spd = q @ np.diag(rng.uniform(0.3, 3.0, n)) @ q.T
+    if kind == "spd":
+        return spd.tolist()
+    if kind == "nonsymmetric":
+        return (spd + np.triu(rng.uniform(0.5, 1.0, (n, n)), 1)).tolist()
+    if kind in ("singular", "indefinite"):
+        first = -1.0 if kind == "indefinite" else 0.0
+        return (q @ np.diag([first, *rng.uniform(0.3, 3.0, n - 1)]) @ q.T).tolist()
+    if kind == "nonfinite":
+        mat = spd.tolist()
+        mat[0][-1] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        return mat
+    if kind == "ragged":
+        return [row[: i + 1] for i, row in enumerate(spd.tolist())]
+    if kind == "nonsquare":
+        return spd[:, :-1].tolist()
+    if kind == "wrong_size":
+        return np.eye(n + 1).tolist()
+    if kind == "empty":
+        return draw(st.sampled_from([[], [[]]]))
+    if kind == "scalar":
+        return draw(st.sampled_from([1.0, True, "1", None]))
+    if kind == "strings":
+        return [[str(v) for v in row] for row in spd.tolist()]
+    if kind == "nulls":
+        return [[None] * n for _ in range(n)]
+    return [[{"value": 1.0}] * n for _ in range(n)]
+
+
+@st.composite
+def malformed_scenes(draw):
+    """A scene of SPD terms with at most one defect: a wrong type, a bad
+    dimension, a broken matrix, a bad item or an extra key."""
+    n = draw(st.sampled_from([2, 3]))
+    defect = draw(
+        st.sampled_from(
+            ["none", "top", "dimension", "ellipsoids", "item", "center", "both_keys", "no_keys",
+             *BROKEN_ENTRIES]
+        )
+    )
+    if defect == "top":
+        return draw(st.sampled_from([None, [], "scene", 2, {"dimension": n}, {"ellipsoids": []}]))
+    m = draw(st.integers(1, 4))
+    items = [{draw(st.sampled_from(["matrix", "shape"])): _entry(draw, n, "spd")} for _ in range(m)]
+    bad = draw(st.integers(0, m - 1))
+    if defect in BROKEN_ENTRIES:
+        items[bad] = {draw(st.sampled_from(["matrix", "shape"])): _entry(draw, n, defect)}
+    elif defect == "item":
+        items[bad] = draw(st.sampled_from([None, [1.0], "matrix", 1.0]))
+    elif defect == "center":
+        items[bad]["center"] = [0.0] * n
+    elif defect == "both_keys":
+        items[bad] = {"matrix": _entry(draw, n, "spd"), "shape": _entry(draw, n, "spd")}
+    elif defect == "no_keys":
+        items[bad] = {"radius": 1.0}
+    ellipsoids = items
+    if defect == "ellipsoids":
+        ellipsoids = draw(st.sampled_from([[], {}, "ellipsoids", None, 1.0]))
+    dim = n
+    if defect == "dimension":
+        dim = draw(st.sampled_from([True, False, 1, 0, -2, float(n), str(n), None, [n], n + 1]))
+    return {"dimension": dim, "ellipsoids": ellipsoids}
+
+
+class TestMalformedScenes:
+    """Every command keeps its contract on any scene file: an exit code in
+    0..5, no traceback, and JSON (or, for boundary and plot, data) on stdout
+    only when it succeeds."""
+
+    COMMANDS = [
+        (["boundary", "--samples", "6"], False),
+        (["volume"], True),
+        (["volume", "--method", "steiner"], True),
+        (["volume", "--method", "montecarlo", "--samples", "1000", "--seed", "3"], True),
+        (["bounds"], True),
+        (["plot"], False),
+        (["oracle", "--samples", "1000", "--seed", "3"], True),
+    ]
+
+    @staticmethod
+    def _reject_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    @settings(max_examples=100)
+    @given(scene=malformed_scenes())
+    def test_exit_codes_and_streams(self, tmp_path_factory, scene):
+        path = tmp_path_factory.mktemp("fuzz") / "scene.json"
+        path.write_text(json.dumps(scene))
+        runner = CliRunner()
+        for extra, is_json in self.COMMANDS:
+            # an exception the CLI does not handle propagates and fails the
+            # test: a fresh process would print its traceback and exit 1
+            res = runner.invoke(main, [extra[0], str(path), *extra[1:]], catch_exceptions=False)
+            assert res.exit_code in range(6), (extra, scene, res.stderr)
+            assert "Traceback" not in res.stderr
+            if res.exit_code != 0:
+                assert res.stdout == ""
+                assert "error: " in res.stderr
+            elif is_json:
+                json.loads(res.stdout, parse_constant=self._reject_constant)
+            else:
+                assert res.stdout

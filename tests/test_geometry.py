@@ -10,6 +10,7 @@ from minksum.geometry import (
     EllipsoidSum,
     SceneSchemaError,
     SceneValidationError,
+    boundary_points,
     contains_point,
     ellipsoid_from_general,
     legacy_pair_boundary,
@@ -250,6 +251,33 @@ def sequential_max_support_gap(scene, nodes, grid_support, support, gradient):
     return best
 
 
+def lockstep_max_support_gap(scene, nodes, grid_support, support, gradient):
+    """Reference: the five ascents in lockstep, with s and its gradient from
+    separate callables and the sum evaluated twice per step.
+
+    `max_support_gap` must return exactly this value.
+    """
+    gaps = support(nodes) - grid_support
+    top = np.argsort(gaps, kind="stable")[-5:]
+    n, val = nodes[top], gaps[top]
+    step = np.full(len(top), 0.05)
+    live = np.ones(len(top), dtype=bool)
+    for _ in range(20):
+        grad = gradient(n) - boundary_points(scene, n)
+        grad -= n * np.sum(n * grad, axis=1, keepdims=True)
+        gn = np.linalg.norm(grad, axis=1)
+        live &= gn != 0.0
+        if not live.any():
+            break
+        cand = n + step[:, None] * grad / np.where(live, gn, 1.0)[:, None]
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        v = support(cand) - support_values(scene, cand)
+        gain = live & (v > val)
+        n[gain], val[gain] = cand[gain], v[gain]
+        step *= np.where(gain, 1.5, 0.5)
+    return float(np.max(val))
+
+
 class TestMaxSupportGap:
     RESOLUTION = {2: 720, 3: 64, 4: 16}
 
@@ -266,7 +294,8 @@ class TestMaxSupportGap:
             scale = float(np.max(h))
             if k % 2:
                 x = rng.uniform(0.99, 1.01) * sum_boundary_point(sc, random_unit(rng, dim))
-                got = max_support_gap(sc, nodes, h, lambda ns: ns @ x, lambda ns: x)
+                got = max_support_gap(sc, nodes, h, lambda ns: (ns @ x, x))
+                assert got == lockstep_max_support_gap(sc, nodes, h, lambda ns: ns @ x, lambda ns: x)
                 ref = sequential_max_support_gap(sc, nodes, nodes @ x, lambda n: x @ n, lambda n: x)
                 assert abs(got - ref) <= 1e-12 * scale
                 tol = 1e-8 * 2.0 * scale
@@ -277,6 +306,12 @@ class TestMaxSupportGap:
             c = c * rng.uniform(0.97, 1.03) / np.max(np.linalg.norm(nodes @ c, axis=1) / h)
             c2 = c @ c
             got = max_support_gap(
+                sc,
+                nodes,
+                h,
+                lambda ns: (np.linalg.norm(ns @ c, axis=1), ns @ c2 / np.linalg.norm(ns @ c, axis=1)[:, None]),
+            )
+            assert got == lockstep_max_support_gap(
                 sc,
                 nodes,
                 h,

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_scene
 from minksum.geometry import EllipsoidSum
+from minksum import quadrature
 from minksum.oracle import polyline_perimeter
 from minksum.quadrature import (
     build_quadrature,
@@ -76,6 +77,51 @@ class TestBuildQuadrature:
     def test_rejects_dim_one(self):
         with pytest.raises(ValueError):
             build_quadrature(1, 8)
+
+
+class TestQuadratureCache:
+    def test_repeated_build_is_shared(self):
+        assert build_quadrature(3, 64) is build_quadrature(3, 64)
+        assert build_quadrature(3, 64) is not build_quadrature(3, 32)
+
+    def test_rule_is_read_only(self):
+        quad = build_quadrature(3, 16)
+        with pytest.raises(ValueError):
+            quad.nodes[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            quad.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            quad.nodes[:3] *= 2.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_cached_equals_uncached(self, dim):
+        cached = build_quadrature(dim, 12)
+        fresh = quadrature._rule.__wrapped__(dim, 12)
+        assert fresh is not cached
+        assert cached.dim == fresh.dim == dim
+        assert cached.nodes.tobytes() == fresh.nodes.tobytes()
+        assert cached.weights.tobytes() == fresh.weights.tobytes()
+        quadrature._rule.cache_clear()
+        rebuilt = build_quadrature(dim, 12)
+        assert rebuilt is not cached
+        assert rebuilt.nodes.tobytes() == cached.nodes.tobytes()
+        assert rebuilt.weights.tobytes() == cached.weights.tobytes()
+
+    def test_bad_arguments_raise_with_a_cached_rule(self):
+        build_quadrature(3, 64)
+        build_quadrature(2, 8)
+        for dim, res in ((1, 8), (0, 64), (1.5, 64), (2, 3), (3, 3.5), (3, 0)):
+            with pytest.raises(ValueError):
+                build_quadrature(dim, res)
+        # a float equal to a cached integer argument must not hit its entry
+        for dim, res in ((3, 64.0), (3.0, 64), (2, 8.0), (3, np.float64(64.0))):
+            with pytest.raises(TypeError):
+                build_quadrature(dim, res)
+
+    def test_numpy_integer_arguments_share_the_rule(self):
+        quad = build_quadrature(np.int64(3), np.int32(64))
+        assert quad is build_quadrature(3, 64)
+        assert type(quad.dim) is int
 
 
 class TestSurfaceIntegral:
