@@ -352,10 +352,10 @@ def _bm_chain(scene: EllipsoidSum, vol: float, inner_john: SpdMatrix, inner_sum:
 
 def _volume_of_record(scene: EllipsoidSum, quad) -> float:
     """The volume the bounds are checked against (see `volume_bounds`)."""
-    if scene.dim == 2:
-        return steiner.area_sum_2d_recursive(scene)
     if scene.m == 1:
         return unit_ball_volume(scene.dim) * scene.terms[0].det()
+    if scene.dim == 2:
+        return steiner.area_sum_2d_recursive(scene)
     if scene.dim == 3:
         return steiner.volume_sum_3d_mixed(scene, quad)
     if quad is None:

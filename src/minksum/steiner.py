@@ -2,9 +2,9 @@
 
 Offsetting a convex body K by a ball of radius r expands its volume by
 quermassintegral terms; since E_1 + E_2 = A_2 (A_2^-1 E_1 + B^N), the
-offset view turns pairwise sums into closed-form expressions.  In 2D,
-perimeter additivity makes the m-fold area exactly computable by
-recursion.
+offset view turns pairwise sums into closed-form expressions.  In 2D the
+area is the mixed-area sum pi sum_i det A_i + sum_{i<j} det A_j
+L(A_j^-1 E_i), L the perimeter of an ellipse, so it is exact for any m.
 
 In 3D the volume is the mixed-volume polynomial (Schneider, Convex
 Bodies, 2nd ed., 2014, ch. 5)
@@ -21,12 +21,12 @@ sigma, the nonzero singular values of [a]x Q for a = A_k^-1 A_i u and
 Q = A_k^-1 A_j.  The integrand is smooth and even in u.  The Steiner
 sandwich of `volume_sum_3d_bounds` brackets the surface-area part of each
 recursion step between the areas of the inner and outer bounding
-ellipsoids of the rescaled partial sum (projection-average monotonicity).
+ellipsoids of the rescaled partial sum (projection-average monotonicity);
+an ellipsoid's area is closed, 4 pi det A R_G(lambda^-2) (DLMF 19.33.1).
 
-Ellipse perimeters come from the arithmetic-geometric mean, in plain
-`math` for the 2D areas and on whole arrays for the triple terms, and R_G
-from Carlson's duplication in plain `math`, so this module (and the CLI)
-needs no scipy.
+Every ellipse perimeter, E(x) included, comes from one arithmetic-geometric
+mean on whole arrays (`_perimeters`), and R_G from Carlson's duplication
+in plain `math`, so this module (and the CLI) needs no scipy.
 """
 
 from __future__ import annotations
@@ -78,85 +78,59 @@ class SteinerReport:
 def elliptic_E(x: float) -> float:
     """Complete elliptic integral E(x) = int_0^(pi/2) sqrt(1 - x^2 sin^2 t) dt.
 
-    Arithmetic-geometric mean (Abramowitz & Stegun 17.6): a_0 = 1,
-    g_0 = sqrt(1 - x^2), c_0 = x, then a_{n+1} = (a_n + g_n)/2,
-    g_{n+1} = sqrt(a_n g_n), c_{n+1} = (a_n - g_n)/2, and
-    E = pi/(a_N + g_N) * (1 - sum_n 2^(n-1) c_n^2).  The n = 0 part
-    1 - x^2/2 is formed as (1 + g_0^2)/2, which keeps full precision as
-    x -> 1.  Convergence is quadratic; relative error stays below 1e-14.
+    A quarter of the perimeter of the ellipse with semi-axes 1 and
+    g = sqrt(1 - x^2), from `_perimeters` (Abramowitz & Stegun 17.6).
+    g^2 is formed as (1 - x)(1 + x), which keeps full precision as x -> 1.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("elliptic modulus must lie in [0, 1]")
-    if x == 1.0:  # g_0 = 0: the means would never meet
+    if x == 1.0:  # g = 0: the means would never meet
         return 1.0
     g2 = (1.0 - x) * (1.0 + x)
-    a, g, c = 1.0, math.sqrt(g2), x
-    power, total = 0.5, 0.0
-    for _ in range(AGM_MAX_STEPS):
-        if c <= AGM_RTOL * a:
-            break
-        a, g, c = 0.5 * (a + g), math.sqrt(a * g), 0.5 * (a - g)
-        power *= 2.0
-        total += power * c * c
-    return math.pi / (a + g) * (0.5 * (1.0 + g2) - total)
-
-
-def _ellipse_perimeter(a: float, b: float) -> float:
-    """Perimeter of an ellipse with semi-axes a, b (any order)."""
-    hi, lo = max(a, b), min(a, b)
-    return 4.0 * hi * elliptic_E(math.sqrt(1.0 - (lo / hi) ** 2))
-
-
-def _singular_values(mat: np.ndarray) -> np.ndarray:
-    """Singular values, descending."""
-    return np.linalg.svd(mat, compute_uv=False)
+    return math.pi * float(_perimeters(1.0 + g2, math.sqrt(g2)))
 
 
 def area_sum_2d_pair(a1: SpdMatrix, a2: SpdMatrix) -> float:
-    """Exact area of E_1 + E_2 in the plane.
+    """Exact area of E_1 + E_2 in the plane (`area_sum_2d_recursive` of the pair).
 
     pi (det A1 + det A2) + L(d(A2^-1 E_1)) det A2, where the scaled
     ellipse has semi-axes equal to the singular values of A2^-1 A1.
     """
     if a1.dim != 2 or a2.dim != 2:
         raise ValueError("area_sum_2d_pair requires 2x2 matrices")
-    lam = _singular_values(np.linalg.solve(a2.entries, a1.entries))
-    return (
-        math.pi * (a1.det() + a2.det())
-        + a2.det() * _ellipse_perimeter(lam[0], lam[1])
-    )
+    return area_sum_2d_recursive(EllipsoidSum((a1, a2)))
 
 
 def area_sum_2d_recursive(scene: EllipsoidSum) -> float:
-    """Exact area of an m-fold sum of ellipses via perimeter additivity.
+    """Exact area of an m-fold sum of ellipses: its mixed areas.
 
-    A(S_{k+1}) = A(S_k) + det A_{k+1} L(d(A_{k+1}^-1 S_k)) + A(E_{k+1}),
-    and the scaled perimeter splits into per-ellipse elliptic integrals.
+    A(sum E_i) = pi sum_i det A_i + sum_{i<j} det A_j L(A_j^-1 E_i), the
+    2D mixed-area polynomial, which is also the recursion
+    A(S_{k+1}) = A(S_k) + det A_{k+1} L(A_{k+1}^-1 S_k) + A(E_{k+1}) with
+    the perimeter of the partial sum split per ellipse.  For M = A_j^-1 A_i
+    the semi-axes sigma satisfy sigma_1^2 + sigma_2^2 = |M|_F^2 and
+    sigma_1 sigma_2 = det A_i / det A_j, so one batched solve and one
+    `_perimeters` call give every pair.
     """
     if scene.dim != 2:
         raise ValueError("area_sum_2d_recursive requires a 2D scene")
-    mats = scene.stack
-    area = math.pi * float(np.linalg.det(mats[0]))
-    for k in range(1, len(mats)):
-        ak = mats[k]
-        det_k = float(np.linalg.det(ak))
-        perim = 0.0
-        for prev in mats[:k]:
-            lam = _singular_values(np.linalg.solve(ak, prev))
-            perim += _ellipse_perimeter(lam[0], lam[1])
-        area += det_k * perim + math.pi * det_k
-    return area
+    stack = scene.stack
+    det = np.linalg.det(stack)
+    i, j = np.nonzero(~np.tri(scene.m, dtype=bool))
+    ratio = np.linalg.solve(stack[j], stack[i])
+    perims = _perimeters(np.sum(ratio * ratio, axis=(1, 2)), det[i] / det[j])
+    return math.pi * float(np.sum(det)) + 4.0 * math.pi * float(det[j] @ perims)
 
 
 def _perimeters(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     """L / (4 pi) for ellipses with sigma_1^2 + sigma_2^2 = s and sigma_1 sigma_2 = p.
 
-    The AGM of `elliptic_E` on whole arrays, started at n = 1 from
-    a_1 = (sigma_1 + sigma_2)/2 = sqrt(s + 2p)/2, g_1 = sqrt(p) and
-    c_1^2 = (s - 2p)/4, so the semi-axes are never formed:
-    L = 4 pi/(a_N + g_N) (s/2 - sum_{n>=1} 2^(n-1) c_n^2).  All elements
-    step until the last meets c_n <= AGM_RTOL a_n; the extra steps of the
-    others change them only in the last bits.
+    The arithmetic-geometric mean on whole arrays (Abramowitz & Stegun
+    17.6), started at n = 1 from a_1 = (sigma_1 + sigma_2)/2 =
+    sqrt(s + 2p)/2, g_1 = sqrt(p) and c_1^2 = (s - 2p)/4, so the semi-axes
+    are never formed: L = 4 pi/(a_N + g_N) (s/2 - sum_{n>=1} 2^(n-1) c_n^2).
+    All elements step until the last meets c_n <= AGM_RTOL a_n; the extra
+    steps of the others change them only in the last bits.
     """
     c = 0.5 * np.sqrt(np.maximum(s - 2.0 * p, 0.0))
     a, g, total, power = 0.5 * np.sqrt(s + 2.0 * p), np.sqrt(p), c * c, 1.0
@@ -206,6 +180,15 @@ def _carlson_rg(x: float, y: float, z: float) -> float:
     )
     rd = scale * series / (ad * math.sqrt(ad)) + 3.0 * tail
     return 0.5 * (z * rf - (x - z) * (y - z) * rd / 3.0 + math.sqrt(x * y / z))
+
+
+def _ellipsoid_area(a: SpdMatrix) -> float:
+    """Surface area of the 3D ellipsoid A B: 4 pi det A R_G(lambda^-2) (DLMF 19.33.1).
+
+    lambda are the semi-axes, the eigenvalues of A.
+    """
+    lam = np.linalg.eigvalsh(a.entries)
+    return 4.0 * math.pi * float(np.prod(lam)) * _carlson_rg(*(1.0 / (lam * lam)).tolist())
 
 
 def _upper_hemisphere(quad) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +268,7 @@ def mixed_volumes_3d(scene: EllipsoidSum, quad=None) -> np.ndarray:
     terms[np.arange(m), np.arange(m), np.arange(m)] = vb * det
     if m >= 2:
         i, j = np.nonzero(~np.eye(m, dtype=bool))
-        sv = _singular_values(inv[i] @ stack[j])
+        sv = np.linalg.svd(inv[i] @ stack[j], compute_uv=False)
         pairs = [vb * float(det[a]) * _carlson_rg(*row) for a, row in zip(i, (sv * sv).tolist())]
         for perm in ((i, i, j), (i, j, i), (j, i, i)):
             terms[perm] = pairs
@@ -328,8 +311,9 @@ def volume_sum_3d_bounds(scene: EllipsoidSum, quad) -> SteinerReport:
     area = 3 sum_{i,j<k} V(E_i, E_j, E_k) and det A_k mean =
     3 sum_{i<k} V(E_i, E_k, E_k), so `exact_value` is the mixed volume.
     The bounds replace the area by the areas of the inner John and
-    direction-optimal outer ellipsoids of the rescaled partial sum, taken
-    by the Gauss-map quadrature `quad`.
+    direction-optimal outer ellipsoids of the rescaled partial sum, which
+    are closed forms (`_ellipsoid_area`); `quad` serves only the triple
+    terms.
     """
     if scene.dim != 3:
         raise ValueError("volume_sum_3d_bounds requires a 3D scene")
@@ -350,8 +334,8 @@ def volume_sum_3d_bounds(scene: EllipsoidSum, quad) -> SteinerReport:
 
         area_exact = 3.0 * float(np.sum(terms[:k, :k, k])) / det_k
         mean = 3.0 * float(np.sum(terms[:k, k, k])) / det_k
-        area_lo = quadrature.surface_area(EllipsoidSum((bounds.best_inner_john(scaled),)), quad)
-        area_hi = quadrature.surface_area(EllipsoidSum((bounds.minvol_outer(scaled),)), quad)
+        area_lo = _ellipsoid_area(bounds.best_inner_john(scaled))
+        area_hi = _ellipsoid_area(bounds.minvol_outer(scaled))
 
         exact = float(np.sum(terms[: k + 1, : k + 1, : k + 1]))
         lower += det_k * (area_lo + mean) + vb * det_k

@@ -45,6 +45,20 @@ def random_scene(rng, dim, m):
     return EllipsoidSum.from_matrices([random_spd(rng, dim) for _ in range(m)])
 
 
+def conditioned_spd(rng, kappa, dim=3):
+    """Random rotation of a spectrum geomspace(1, kappa) times a factor in [0.5, 2]."""
+    q = random_rotation(rng, dim)
+    return q @ np.diag(rng.uniform(0.5, 2.0) * np.geomspace(1.0, kappa, dim)) @ q.T
+
+
+def conditioned_scene(seed, m, log_kappa, dim=3):
+    """m terms, each with condition 10^u, u uniform on [0, log_kappa]."""
+    rng = np.random.default_rng(seed)
+    return EllipsoidSum.from_matrices(
+        [conditioned_spd(rng, 10.0 ** rng.uniform(0.0, log_kappa), dim) for _ in range(m)]
+    )
+
+
 @pytest.fixture
 def example_pair():
     """The worked 2D pair used throughout the documentation and tests."""

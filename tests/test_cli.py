@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minksum
-from conftest import random_spd
+from conftest import conditioned_scene, random_spd
 from minksum.cli import main
 from minksum.steiner import area_sum_2d_pair
 from minksum.spd import SpdMatrix
@@ -156,6 +156,18 @@ class TestVolumeCommand:
         )
         assert payload["lower"] <= div["value"] * (1 + 1e-9)
         assert div["value"] <= payload["upper"] * (1 + 1e-9)
+
+    def test_steiner_3d_bounds_bracket_value(self, runner, tmp_path):
+        # terms up to condition 1e2: the sandwich's ellipsoid areas are
+        # closed forms, so lower and upper bracket the reported value
+        scene = conditioned_scene(0, 3, 2.0)
+        path = write_scene(
+            tmp_path, {"dimension": 3, "ellipsoids": [{"matrix": a.tolist()} for a in scene.stack]}
+        )
+        res = runner.invoke(main, ["volume", path, "--method", "steiner"])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert payload["lower"] <= payload["value"] <= payload["upper"]
 
     @pytest.mark.parametrize("m, exact", [(1, True), (2, True), (3, False)])
     def test_steiner_3d_exact_flag(self, runner, tmp_path, m, exact):

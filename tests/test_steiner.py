@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import ellipe, elliprg
 
-from conftest import random_rotation, random_scene, random_spd
+from conftest import (
+    conditioned_scene,
+    conditioned_spd,
+    random_rotation,
+    random_scene,
+    random_spd,
+)
 from minksum.bounds import volume_bounds
 from minksum.geometry import EllipsoidSum, transform_scene
 from minksum.quadrature import build_quadrature, unit_ball_volume, volume_divergence
@@ -104,13 +110,18 @@ class TestAreaRecursive2d:
         assert area_sum_2d_recursive(sc) == pytest.approx(6 * math.pi, rel=1e-14)
 
     def test_matches_pair_formula(self):
+        # the paper's pair formula pi (det A1 + det A2) + det A2 L(sigma),
+        # sigma the singular values of A2^-1 A1, with L = 4 sigma_1
+        # E(1 - sigma_2^2 / sigma_1^2) from scipy
         rng = np.random.default_rng(82)
         for _ in range(30):
             a, b = random_spd(rng, 2), random_spd(rng, 2)
+            sigma = np.linalg.svd(np.linalg.solve(b, a), compute_uv=False)
+            perimeter = 4.0 * sigma[0] * ellipe(1.0 - (sigma[1] / sigma[0]) ** 2)
+            det_a, det_b = np.linalg.det(a), np.linalg.det(b)
+            ref = math.pi * (det_a + det_b) + det_b * perimeter
             sc = EllipsoidSum.from_matrices([a, b])
-            assert area_sum_2d_recursive(sc) == pytest.approx(
-                area_sum_2d_pair(SpdMatrix(a), SpdMatrix(b)), rel=1e-9
-            )
+            assert area_sum_2d_recursive(sc) == pytest.approx(ref, rel=1e-13)
 
     def test_triple_matches_divergence(self):
         rng = np.random.default_rng(83)
@@ -201,24 +212,23 @@ class TestVolumeBounds3d:
         assert last["area_lower"] <= last["area_exact"] * (1 + 1e-9)
         assert last["area_exact"] <= last["area_upper"] * (1 + 1e-9)
 
+    def test_sandwich_brackets_exact_value(self):
+        # the areas of the inner and outer ellipsoids bracket the area of
+        # the rescaled partial sum at every step, with terms up to 1e3
+        quad = build_quadrature(3, 64)
+        for seed in range(40):
+            for log_kappa in (2.0, 3.0):
+                rep = volume_sum_3d_bounds(conditioned_scene(seed, 3 + seed % 3, log_kappa), quad)
+                assert rep.lower <= rep.exact_value * (1 + 1e-9)
+                assert rep.exact_value <= rep.upper * (1 + 1e-9)
+                for step in rep.components[1:]:
+                    assert step["area_lower"] <= step["area_exact"] * (1 + 1e-9)
+                    assert step["area_exact"] <= step["area_upper"] * (1 + 1e-9)
+
     def test_requires_three_terms(self):
         quad = build_quadrature(3, 16)
         with pytest.raises(ValueError):
             volume_sum_3d_bounds(EllipsoidSum.from_matrices([np.eye(3)] * 2), quad)
-
-
-def conditioned_spd(rng, kappa):
-    """Random rotation of a spectrum geomspace(1, kappa) times a factor in [0.5, 2]."""
-    q = random_rotation(rng, 3)
-    return q @ np.diag(rng.uniform(0.5, 2.0) * np.geomspace(1.0, kappa, 3)) @ q.T
-
-
-def conditioned_scene(seed, m, log_kappa):
-    """m terms, each with condition 10^u, u uniform on [0, log_kappa]."""
-    rng = np.random.default_rng(seed)
-    return EllipsoidSum.from_matrices(
-        [conditioned_spd(rng, 10.0 ** rng.uniform(0.0, log_kappa)) for _ in range(m)]
-    )
 
 
 class TestCarlsonRG:
@@ -304,6 +314,30 @@ class TestMixedVolumes3d:
 
 
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestMixedAreaProperties:
+    """Invariants of the 2D mixed-area sum, which is exact up to rounding."""
+
+    @given(SEEDS, st.integers(2, 6), st.floats(0.0, 6.0), st.randoms(use_true_random=False))
+    def test_permutation_invariant(self, seed, m, log_kappa, rnd):
+        sc = conditioned_scene(seed, m, log_kappa, dim=2)
+        order = list(range(m))
+        rnd.shuffle(order)
+        shuffled = EllipsoidSum(tuple(sc.terms[i] for i in order))
+        expected = area_sum_2d_recursive(sc)
+        assert area_sum_2d_recursive(shuffled) == pytest.approx(expected, rel=1e-12)
+
+    @given(SEEDS, st.integers(1, 6), st.floats(0.0, 3.0), st.floats(0.0, 1.0))
+    def test_scales_with_det(self, seed, m, log_kappa, log_s):
+        # transform_scene's square roots cost digits as the terms' condition
+        # grows: with terms up to 1e3 and S up to 10, 2,000 seeded scenes
+        # drifted by at most 2.4e-10
+        sc = conditioned_scene(seed, m, log_kappa, dim=2)
+        rng = np.random.default_rng([seed, 1])
+        s = conditioned_spd(rng, 10.0**log_s, dim=2) @ random_rotation(rng, 2)
+        expected = abs(np.linalg.det(s)) * area_sum_2d_recursive(sc)
+        assert area_sum_2d_recursive(transform_scene(sc, s)) == pytest.approx(expected, rel=1e-8)
 
 
 class TestMixedVolumeProperties:
