@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spd import SpdError, SpdMatrix, _sqrt_raw
+from .spd import SpdError, SpdMatrix, _abs
 
 # Condition number above which per-term results are flagged unreliable.
 COND_WARN = 1e8
@@ -81,7 +81,7 @@ class EllipsoidSum:
 def ellipsoid_from_general(s) -> SpdMatrix:
     """Shape matrix of the ellipsoid {S u : |u| < 1} for a nonsingular S.
 
-    The unique SPD representative is A = (S S^T)^(1/2).
+    The unique SPD representative is A = (S S^T)^(1/2) = |S^T|.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -90,7 +90,7 @@ def ellipsoid_from_general(s) -> SpdMatrix:
     norm = np.linalg.norm(s, 2)
     if abs(np.linalg.det(s)) <= 1e-12 * norm**n:
         raise ValueError("matrix is singular (or too close to singular)")
-    return SpdMatrix(_sqrt_raw(s @ s.T))
+    return SpdMatrix(_abs(s.T))
 
 
 def boundary_points(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
@@ -131,12 +131,12 @@ def support_value(scene: EllipsoidSum, n) -> float:
 
 
 def transform_scene(scene: EllipsoidSum, s) -> EllipsoidSum:
-    """Apply a nonsingular linear map S to the scene: A_i -> (S A_i^2 S^T)^(1/2)."""
+    """Apply a nonsingular linear map S to the scene: A_i -> (S A_i^2 S^T)^(1/2) = |A_i S^T|."""
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
     if abs(np.linalg.det(s)) <= 1e-12 * np.linalg.norm(s, 2) ** n:
         raise ValueError("transformation matrix is singular")
-    return EllipsoidSum.from_matrices([_sqrt_raw(s @ a @ a @ s.T) for a in scene.stack])
+    return EllipsoidSum.from_matrices(_abs(scene.stack @ s.T))
 
 
 def _support_and_points(scene: EllipsoidSum, ns: np.ndarray):

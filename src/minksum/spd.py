@@ -16,6 +16,9 @@ orders, so low bits differ between them; the test suite's bitwise goldens
 are captured under the Haswell kernels (OPENBLAS_CORETYPE=Haswell, which
 tests/conftest.py sets).  Eigenvector signs are normalized so the
 factorization does not depend on the solver's sign choice.
+
+Every root of a Gram matrix, |G| = (G^T G)^(1/2) for a square or tall G,
+is `_abs`, from the SVD of G, so the entries of G are never squared.
 """
 
 from __future__ import annotations
@@ -106,6 +109,12 @@ class SpdMatrix:
 def _spectral(V: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V^T, symmetrized."""
     return _sym_part(V @ np.diag(values) @ V.T)
+
+
+def _abs(g: np.ndarray) -> np.ndarray:
+    """|G| = (G^T G)^(1/2) of a stack of k x N arrays, k >= N, from the thin SVD of G."""
+    _, sv, vh = np.linalg.svd(g, full_matrices=False)
+    return _sym_part(np.swapaxes(vh, -1, -2) * sv[..., None, :] @ vh)
 
 
 def _sqrt_raw(mat: np.ndarray) -> np.ndarray:

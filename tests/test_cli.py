@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minksum
-from conftest import conditioned_scene, random_spd
+from conftest import conditioned_scene, conditioned_spd, random_spd
 from minksum.cli import main
 from minksum.steiner import area_sum_2d_pair
 from minksum.spd import SpdMatrix
@@ -412,29 +412,14 @@ class TestErrorHandling:
         assert res.stderr.startswith("error: ")
 
     def test_bounds_error_exits_5(self, tmp_path):
-        # a well-conditioned term plus one of condition 3e8: the outer matrix
-        # (sum gamma_i A_i^2)^(1/2) squares that term, loses its small
-        # eigenvalue, and its volume falls 12% below the exact area (under the
-        # Haswell, SkylakeX and Zen OpenBLAS kernels; 29% under SandyBridge),
-        # so `bounds` raises BoundsError; a fresh process shows the real
-        # stderr, which starts with the condition-number warning
-        scene = {
-            "dimension": 2,
-            "ellipsoids": [
-                {
-                    "matrix": [
-                        [1.4643309777973752, 0.28778523094848363],
-                        [0.2877852309484836, 1.695011418348562],
-                    ]
-                },
-                {
-                    "matrix": [
-                        [32216633.134112366, -124279402.30497065],
-                        [-124279402.30497065, 479422248.92233276],
-                    ]
-                },
-            ],
-        }
+        # a 4D pair of terms of condition 5e6: the N >= 4 volume of record is
+        # the per-term chart quadrature, which at the default resolution
+        # reads the volume 34% below the inner bound (under the Haswell,
+        # SkylakeX, SandyBridge and Zen OpenBLAS kernels), so `bounds` raises
+        # BoundsError; a fresh process shows the real stderr
+        rng = np.random.default_rng(8)
+        mats = [conditioned_spd(rng, 5e6, dim=4) for _ in range(2)]
+        scene = {"dimension": 4, "ellipsoids": [{"matrix": a.tolist()} for a in mats]}
         path = write_scene(tmp_path, scene)
         src = str(Path(minksum.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -444,7 +429,7 @@ class TestErrorHandling:
         )
         assert out.returncode == 5
         assert out.stdout == ""
-        assert "\nerror: bound sandwich violated: " in out.stderr
+        assert out.stderr.startswith("error: bound sandwich violated: ")
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("scale", [1e300, 1e-150])

@@ -2,7 +2,8 @@
 
 The references below are the per-term loops the kernels replaced, and the
 tangent basis built as a full reflector and then sliced; the kernels must
-reproduce them bit for bit (tobytes, so -0.0 counts).
+reproduce them bit for bit (tobytes, so -0.0 counts).  The outer
+references stack the rows of G term by term and take |G| from the SVD.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from minksum.bounds import (
 )
 from minksum.curvature import curvature_stack, reduced_stack, tangent_basis_stack
 from minksum.geometry import COND_WARN, EllipsoidSum, boundary_points, support_values
-from minksum.spd import _sqrt_raw
+from minksum.spd import _sqrt_raw, _sym_part
 
 from conftest import random_spd, random_unit
 
@@ -70,7 +71,23 @@ def ref_reduced_stack(mats, ns):
     return 0.5 * (red + np.swapaxes(red, 1, 2))
 
 
+def ref_abs_of_rows(rows):
+    """|G| of the matrix whose row blocks are `rows`, from its thin SVD."""
+    g = np.zeros((0, rows[0].shape[1]))
+    for block in rows:
+        g = np.concatenate([g, block])
+    _, sv, vh = np.linalg.svd(g, full_matrices=False)
+    return _sym_part(vh.T * sv[None, :] @ vh)
+
+
 def ref_outer_gamma(mats, gammas):
+    if len(mats) == 1:  # gamma = 1: the term itself
+        return mats[0]
+    return ref_abs_of_rows([np.sqrt(g) * a for g, a in zip(gammas, mats)])
+
+
+def squared_outer_gamma(mats, gammas):
+    """The paper's form: the eigh root of the formed sum gamma_i A_i^2."""
     total = np.zeros(mats[0].shape)
     for g, a in zip(gammas, mats):
         total += g * (a @ a)
@@ -83,13 +100,11 @@ def ref_heuristic_gammas(mats):
 
 
 def ref_direction_outer(mats, l):
+    norms = [float(np.linalg.norm(a @ l)) for a in mats]
     s = 0.0
-    mix = np.zeros(mats[0].shape)
-    for a in mats:
-        r = float(np.linalg.norm(a @ l))
+    for r in norms:
         s += r
-        mix += (a @ a) / r
-    return _sqrt_raw(s * mix)
+    return ref_outer_gamma(mats, [s / r for r in norms])
 
 
 def ref_minvol_outer(mats):
@@ -147,6 +162,10 @@ class TestBatchedKernels:
                     outer_gamma_matrix(sc, gammas).entries, ref_outer_gamma(mats, gammas)
                 )
                 assert same_bytes(minvol_outer(sc).entries, ref_minvol_outer(mats))
+                # the squared formula agrees on these well-conditioned terms
+                squared = squared_outer_gamma(mats, gammas)
+                gap = np.linalg.norm(outer_gamma_matrix(sc, gammas).entries - squared)
+                assert gap <= 1e-12 * np.linalg.norm(squared)
             for l in normals(rng, dim, 2 * dim + 2):
                 assert same_bytes(direction_outer_matrix(sc, l).entries, ref_direction_outer(mats, l))
 

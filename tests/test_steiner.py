@@ -330,14 +330,16 @@ class TestMixedAreaProperties:
 
     @given(SEEDS, st.integers(1, 6), st.floats(0.0, 3.0), st.floats(0.0, 1.0))
     def test_scales_with_det(self, seed, m, log_kappa, log_s):
-        # transform_scene's square roots cost digits as the terms' condition
-        # grows: with terms up to 1e3 and S up to 10, 2,000 seeded scenes
-        # drifted by at most 2.4e-10
+        # transform_scene takes each term as |A_i S^T| from an SVD, so no
+        # term is squared: with terms up to 1e3 and S up to 10, 20,000
+        # seeded scenes drifted by at most 3.3e-13 (single terms, whose det
+        # carries about cond * eps), where the eigh root of S A_i^2 S^T
+        # drifted by up to 4.3e-10
         sc = conditioned_scene(seed, m, log_kappa, dim=2)
         rng = np.random.default_rng([seed, 1])
         s = conditioned_spd(rng, 10.0**log_s, dim=2) @ random_rotation(rng, 2)
         expected = abs(np.linalg.det(s)) * area_sum_2d_recursive(sc)
-        assert area_sum_2d_recursive(transform_scene(sc, s)) == pytest.approx(expected, rel=1e-8)
+        assert area_sum_2d_recursive(transform_scene(sc, s)) == pytest.approx(expected, rel=5e-12)
 
 
 class TestMixedVolumeProperties:
