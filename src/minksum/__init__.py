@@ -17,6 +17,7 @@ from .curvature import (
     TangentBasis,
     curvature_matrix,
     curvature_term,
+    curvatures_from_reduced,
     fundamental_forms,
     principal_curvatures,
     reduced_curvature,
@@ -28,7 +29,6 @@ from .quadrature import (
     gaussian_curvature_integral,
     mean_curvature_integral,
     surface_area,
-    surface_integral,
     unit_ball_volume,
     volume_divergence,
     volume_term_charts,

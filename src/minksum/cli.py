@@ -121,9 +121,7 @@ def boundary(scene_path, samples, out):
         normals = quadrature.build_quadrature(scene.dim, res).nodes[:samples]
 
     points = geometry.boundary_points(scene, normals)
-    red = curvature.reduced_stack(scene, normals)
-    lam = np.linalg.eigvalsh(red)
-    kappas = np.sort(1.0 / lam, axis=1)
+    kappas = curvature.curvatures_from_reduced(curvature.reduced_stack(scene, normals))
 
     dim = scene.dim
     header = (
@@ -185,12 +183,7 @@ def volume(scene_path, method, resolution, samples, seed, out):
         payload["exact"] = scene.dim == 2 or scene.m <= 2
     else:
         _check_seed(seed, "--seed is required for the montecarlo method")
-        est = oracle.monte_carlo_volume(scene, samples, seed)
-        payload["value"] = est.value
-        payload["std_error"] = est.std_error
-        payload["samples"] = est.samples
-        payload["seed"] = est.seed
-        payload["ambiguous"] = est.ambiguous
+        payload.update(oracle.monte_carlo_volume(scene, samples, seed).to_json())
 
     _emit(_json_text(payload), out)
 

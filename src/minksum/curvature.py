@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EllipsoidSum
-from .spd import sym_eigen
 
 # Chart points must keep polar angles this far from the poles.
 CHART_POLE_EPS = 1e-6
@@ -41,6 +40,23 @@ class TangentBasis:
     normal: np.ndarray
 
 
+def _curvature(stack: np.ndarray, squares: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """C(n) of the terms A_i in `stack` (A_i^2 in `squares`) at rows of normals; (K, N, N).
+
+    Degree -1 homogeneous in n: each row is used at the length it has.
+    """
+    k, dim = ns.shape
+    c = np.zeros((k, dim, dim))
+    t = np.empty_like(c)  # shared by every term, so no (K, N, N) temporaries
+    # batched over the terms, the (m, K, N, N) temporary would hold m results
+    for a, a2 in zip(stack, squares):
+        r = np.linalg.norm(ns @ a, axis=1)[:, None, None]
+        w = ns @ a2
+        c += np.divide(a2, r, out=t)
+        c -= np.divide(np.multiply(w[:, :, None], w[:, None, :], out=t), r**3, out=t)
+    return c
+
+
 def curvature_term(a, n) -> np.ndarray:
     """Single-ellipsoid contribution C(A, n) = A^2/|An| - A^2 n n^T A^2/|An|^3.
 
@@ -49,26 +65,13 @@ def curvature_term(a, n) -> np.ndarray:
     C((S A^2 S^T)^(1/2), n) = S C(A, S^T n) S^T holds.
     """
     a = np.asarray(a, dtype=float)
-    n = np.asarray(n, dtype=float)
-    r = np.linalg.norm(a @ n)
-    a2 = a @ a
-    w = a2 @ n
-    return a2 / r - np.outer(w, w) / r**3
+    return _curvature(a[None], (a @ a)[None], np.asarray(n, dtype=float)[None, :])[0]
 
 
 def curvature_stack(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
     """C(n) for each row of unit normals; shape (K, N, N)."""
     ns = np.atleast_2d(np.asarray(normals, dtype=float))
-    k, dim = ns.shape
-    c = np.zeros((k, dim, dim))
-    t = np.empty_like(c)  # shared by every term, so no (K, N, N) temporaries
-    # batched over the terms, the (m, K, N, N) temporary would hold m results
-    for a, a2 in zip(scene.stack, scene.squares):
-        r = np.linalg.norm(ns @ a, axis=1)[:, None, None]
-        w = ns @ a2
-        c += np.divide(a2, r, out=t)
-        c -= np.divide(np.multiply(w[:, :, None], w[:, None, :], out=t), r**3, out=t)
-    return c
+    return _curvature(scene.stack, scene.squares, ns)
 
 
 def curvature_matrix(scene: EllipsoidSum, n) -> CurvatureMatrix:
@@ -101,42 +104,48 @@ def tangent_basis(n) -> TangentBasis:
     return TangentBasis(columns=tangent_basis_stack(n[None, :])[0], normal=n)
 
 
+def _reduce(c: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """M^T C M for stacks of C (K, N, N) and tangent bases M (K, N, N-1), symmetrised."""
+    red = np.einsum("kpi,kpq,kqj->kij", m, c, m)
+    return 0.5 * (red + np.swapaxes(red, 1, 2))
+
+
 def reduced_curvature(c: CurvatureMatrix, basis: TangentBasis) -> np.ndarray:
     """Tangent-space reduction C~ = M^T C M; SPD of size (N-1) x (N-1)."""
     if not np.allclose(c.normal, basis.normal, atol=1e-12):
         raise ValueError("curvature matrix and tangent basis use different normals")
-    m = basis.columns
-    red = m.T @ c.full @ m
-    return 0.5 * (red + red.T)
+    return _reduce(c.full[None], basis.columns[None])[0]
 
 
 def reduced_stack(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
     """C~(n) for each row of unit normals; shape (K, N-1, N-1)."""
     ns = np.atleast_2d(np.asarray(normals, dtype=float))
-    c = curvature_stack(scene, ns)
-    m = tangent_basis_stack(ns)
-    red = np.einsum("kpi,kpq,kqj->kij", m, c, m)
-    return 0.5 * (red + np.swapaxes(red, 1, 2))
+    return _reduce(curvature_stack(scene, ns), tangent_basis_stack(ns))
+
+
+def curvatures_from_reduced(red: np.ndarray) -> np.ndarray:
+    """Principal curvatures (ascending) for each C~ of a (K, N-1, N-1) stack.
+
+    They are the reciprocals of the eigenvalues of C~, which are the
+    positive eigenvalues of C(n); shape (K, N-1).
+    """
+    return np.sort(1.0 / np.linalg.eigvalsh(red), axis=-1)
 
 
 def principal_curvatures(scene: EllipsoidSum, n) -> np.ndarray:
-    """Principal curvatures (ascending) at the boundary point with normal n.
-
-    These are the reciprocals of the positive eigenvalues of C(n), computed
-    from the reduced matrix C~ to avoid the null direction.
-    """
+    """Principal curvatures (ascending) at the boundary point with normal n."""
     n = np.asarray(n, dtype=float)
-    red = reduced_stack(scene, n[None, :])[0]
-    lam = sym_eigen(red).eigenvalues
-    return np.sort(1.0 / lam)
+    return curvatures_from_reduced(reduced_stack(scene, n[None, :]))[0]
 
 
 def _chart_normal_and_jacobian(phi: np.ndarray, dim: int):
     """Hyperspherical chart n(phi) and the sphere Jacobian [dn/dphi_j].
 
-    n_1 = cos(phi_1), n_i = cos(phi_i) prod_{k<i} sin(phi_k), and the last
-    coordinate carries no cosine.  The chart is orthogonal: dn/dphi_j has
-    norm prod_{k<j} sin(phi_k).
+    n_i = cos(phi_i) prod_{k<i} sin(phi_k), and the last coordinate carries
+    no cosine.  Column j is prod_{k<j} sin(phi_k) (0, ..., 0, -sin(phi_j),
+    cos(phi_j) nu), nu the unit normal of the chart on phi_{j+1}, ...: its
+    entry i > j is n_i with sin(phi_j) replaced by cos(phi_j).  The chart
+    is orthogonal: dn/dphi_j has norm prod_{k<j} sin(phi_k).
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (dim - 1,):
@@ -146,37 +155,16 @@ def _chart_normal_and_jacobian(phi: np.ndarray, dim: int):
         if np.any(polar < CHART_POLE_EPS) or np.any(polar > np.pi - CHART_POLE_EPS):
             raise ValueError("chart point too close to a coordinate pole")
 
-    sins = np.sin(phi)
-    coss = np.cos(phi)
-
-    def coord(i: int) -> float:
-        # i in 0..dim-1
-        val = 1.0
-        for k in range(min(i, dim - 1)):
-            val *= sins[k]
-        if i < dim - 1:
-            val *= coss[i]
-        return val
-
-    n = np.array([coord(i) for i in range(dim)])
-
+    sins, coss = np.sin(phi), np.cos(phi)
+    lead = np.cumprod(np.concatenate([[1.0], sins]))  # prod_{k<i} sin(phi_k)
+    cos_last = np.append(coss, 1.0)  # the last coordinate carries no cosine
+    # row j: the sines with cos(phi_j) in place j; the running product up to
+    # place i - 1, times cos(phi_i), is entry i > j of column j
+    swapped = np.cumprod(np.where(np.eye(dim - 1, dtype=bool), coss, sins), axis=1)
     jac = np.zeros((dim, dim - 1))
-    for j in range(dim - 1):
-        for i in range(dim):
-            val = 1.0
-            for k in range(min(i, dim - 1)):
-                val *= coss[k] if k == j else sins[k]
-            if i < dim - 1:
-                if i == j:
-                    val *= -sins[i]
-                elif j < i:
-                    val *= coss[i]
-                else:
-                    val = 0.0
-            elif j >= dim - 1:
-                val = 0.0
-            jac[i, j] = val
-    return n, jac
+    jac[1:] = np.tril(swapped.T * cos_last[1:, None])
+    jac[np.arange(dim - 1), np.arange(dim - 1)] = -lead[:-1] * sins
+    return lead * cos_last, jac
 
 
 def fundamental_forms(scene: EllipsoidSum, phi):
@@ -185,13 +173,9 @@ def fundamental_forms(scene: EllipsoidSum, phi):
     G = J~^T C~^2 J~ and L = J~^T C~ J~ with J~ the diagonal chart Jacobian,
     so the eigenvalues of G^-1 L are the principal curvatures.
     """
-    dim = scene.dim
-    n, jac = _chart_normal_and_jacobian(np.asarray(phi, float), dim)
-    c = curvature_stack(scene, n[None, :])[0]
+    n, jac = _chart_normal_and_jacobian(np.asarray(phi, float), scene.dim)
     norms = np.linalg.norm(jac, axis=0)
-    m = jac / norms
-    c_red = m.T @ c @ m
-    c_red = 0.5 * (c_red + c_red.T)
+    c_red = _reduce(curvature_stack(scene, n[None, :]), (jac / norms)[None])[0]
     jt = np.diag(norms)
     g = jt @ c_red @ c_red @ jt
     ell = jt @ c_red @ jt

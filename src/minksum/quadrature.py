@@ -107,12 +107,17 @@ def _rule(dim: int, resolution: int) -> SphereQuadrature:
     return SphereQuadrature(dim, nodes, weights)
 
 
+def _dets(red: np.ndarray) -> np.ndarray:
+    """det C~ of a (K, N-1, N-1) stack; in 2D the entries themselves.
+
+    `np.linalg.det` of a 1 x 1 stack can miss its entry by one ulp.
+    """
+    return red[:, 0, 0] if red.shape[1] == 1 else np.linalg.det(red)
+
+
 def _area_factors(scene: EllipsoidSum, quad: SphereQuadrature) -> np.ndarray:
     """det C~ at every quadrature node."""
-    red = curvature.reduced_stack(scene, quad.nodes)
-    if red.shape[1] == 1:
-        return red[:, 0, 0]
-    return np.linalg.det(red)
+    return _dets(curvature.reduced_stack(scene, quad.nodes))
 
 
 def _check_dim(scene: EllipsoidSum, quad: SphereQuadrature):
@@ -120,21 +125,6 @@ def _check_dim(scene: EllipsoidSum, quad: SphereQuadrature):
         raise ValueError(
             f"scene dimension {scene.dim} != quadrature dimension {quad.dim}"
         )
-
-
-def surface_integral(scene: EllipsoidSum, f, quad: SphereQuadrature) -> float:
-    """Integral of f(x, n) over the boundary of the Minkowski sum.
-
-    f is called once per node in fixed order with the boundary point and
-    its unit normal.
-    """
-    _check_dim(scene, quad)
-    dets = _area_factors(scene, quad)
-    xs = geometry.boundary_points(scene, quad.nodes)
-    vals = np.array(
-        [f(xs[k], quad.nodes[k]) for k in range(quad.nodes.shape[0])], dtype=float
-    )
-    return float(np.sum(quad.weights * vals * dets))
 
 
 def surface_area(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
@@ -170,10 +160,9 @@ def gaussian_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> 
         raise ValueError("gaussian_curvature_integral supports N in {2, 3}")
     _check_dim(scene, quad)
     red = curvature.reduced_stack(scene, quad.nodes)
-    lam = np.linalg.eigvalsh(red)
-    kappa_prod = np.prod(1.0 / lam, axis=1)
-    dets = np.linalg.det(red) if red.shape[1] > 1 else red[:, 0, 0]
-    return float(np.sum(quad.weights * kappa_prod * dets))
+    # at most two factors, whose product does not depend on their order
+    kappa_prod = np.prod(curvature.curvatures_from_reduced(red), axis=1)
+    return float(np.sum(quad.weights * kappa_prod * _dets(red)))
 
 
 def volume_divergence(scene: EllipsoidSum, quad: SphereQuadrature) -> float:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,14 +66,6 @@ class SteinerReport:
     upper: float
     exact_value: float | None = None
     components: tuple = field(default_factory=tuple)
-
-    def to_json(self) -> dict:
-        return {
-            "exact_value": self.exact_value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "components": [dict(c) for c in self.components],
-        }
 
 
 def elliptic_E(x: float) -> float:
@@ -107,10 +100,13 @@ def area_sum_2d_recursive(scene: EllipsoidSum) -> float:
     A(sum E_i) = pi sum_i det A_i + sum_{i<j} det A_j L(A_j^-1 E_i), the
     2D mixed-area polynomial, which is also the recursion
     A(S_{k+1}) = A(S_k) + det A_{k+1} L(A_{k+1}^-1 S_k) + A(E_{k+1}) with
-    the perimeter of the partial sum split per ellipse.  For M = A_j^-1 A_i
-    the semi-axes sigma satisfy sigma_1^2 + sigma_2^2 = |M|_F^2 and
-    sigma_1 sigma_2 = det A_i / det A_j, so one batched solve and one
-    `_perimeters` call give every pair.
+    the perimeter of the partial sum split per ellipse.  The semi-axes
+    sigma of M = A_j^-1 A_i satisfy sigma_1^2 + sigma_2^2 = |M|_F^2 and
+    sigma_1 sigma_2 = det M, so one batched solve and one `_perimeters`
+    call give every pair.  Each M is first scaled by the power of two at
+    its largest entry, which is exact and keeps |M|_F^2 and det M from
+    underflowing or overflowing when the terms differ by more than about
+    1e150 in size; L scales back by the same power.
     """
     if scene.dim != 2:
         raise ValueError("area_sum_2d_recursive requires a 2D scene")
@@ -118,7 +114,9 @@ def area_sum_2d_recursive(scene: EllipsoidSum) -> float:
     det = np.linalg.det(stack)
     i, j = np.nonzero(~np.tri(scene.m, dtype=bool))
     ratio = np.linalg.solve(stack[j], stack[i])
-    perims = _perimeters(np.sum(ratio * ratio, axis=(1, 2)), det[i] / det[j])
+    exp = np.frexp(np.max(np.abs(ratio), axis=(1, 2)))[1]
+    ratio = np.ldexp(ratio, -exp[:, None, None])
+    perims = np.ldexp(_perimeters(np.sum(ratio * ratio, axis=(1, 2)), np.linalg.det(ratio)), exp)
     return math.pi * float(np.sum(det)) + 4.0 * math.pi * float(det[j] @ perims)
 
 
@@ -330,7 +328,11 @@ def volume_sum_3d_bounds(scene: EllipsoidSum, quad) -> SteinerReport:
     for k in range(2, scene.m):
         ak = scene.stack[k]
         det_k = float(np.linalg.det(ak))
-        scaled = transform_scene(EllipsoidSum(scene.terms[:k]), np.linalg.inv(ak))
+        with warnings.catch_warnings():
+            # the rescaled terms A_i A_k^-1 can pass COND_WARN where no term
+            # of the scene does; the warning is for scenes a caller builds
+            warnings.filterwarnings("ignore", "ellipsoid .* condition number", UserWarning)
+            scaled = transform_scene(EllipsoidSum(scene.terms[:k]), np.linalg.inv(ak))
 
         area_exact = 3.0 * float(np.sum(terms[:k, :k, k])) / det_k
         mean = 3.0 * float(np.sum(terms[:k, k, k])) / det_k

@@ -137,6 +137,31 @@ class TestVolumeCommand:
         assert payload["exact"] is True
         assert payload["value"] == pytest.approx(134.64183305, rel=1e-8)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_steiner_2d_extreme_magnitude_ratio(self, runner, tmp_path, scale):
+        a = [[2.0, 0.3], [0.3, 1.0]]
+        tiny = (scale * np.array([[1.0, -0.2], [-0.2, 3.0]])).tolist()
+        for mats in ([a, tiny], [tiny, a]):
+            path = write_scene(tmp_path, {"dimension": 2, "ellipsoids": [{"matrix": m} for m in mats]})
+            res = runner.invoke(main, ["volume", path, "--method", "steiner"])
+            assert res.exit_code == 0, res.output
+            value = json.loads(res.output)["value"]
+            assert value == pytest.approx(math.pi * np.linalg.det(a), rel=1e-15)
+
+    def test_steiner_3d_quiet_on_well_conditioned_terms(self, tmp_path):
+        # no warning about the internal rescaled partial sums on stderr
+        rng = np.random.default_rng(3)
+        mats = [conditioned_spd(rng, 2e4).tolist() for _ in range(4)]
+        path = write_scene(tmp_path, {"dimension": 3, "ellipsoids": [{"matrix": m} for m in mats]})
+        src = str(Path(minksum.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "minksum.cli", "volume", path, "--method", "steiner"],
+            capture_output=True, text=True, env=env,
+        )
+        assert out.returncode == 0
+        assert out.stderr == ""
+
     def test_steiner_3d_triple_bounds(self, runner, tmp_path):
         scene = {
             "dimension": 3,

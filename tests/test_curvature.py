@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_scene, random_spd, random_unit
 from minksum.curvature import (
+    _chart_normal_and_jacobian,
     curvature_matrix,
     curvature_term,
     fundamental_forms,
@@ -195,6 +196,28 @@ class TestPrincipalCurvatures:
             assert np.allclose(k, kfd, rtol=1e-4)
 
 
+def chart_by_coordinates(phi, dim):
+    """n(phi) and dn/dphi entry by entry, each a left-to-right product of sines and cosines."""
+    sins, coss = np.sin(phi), np.cos(phi)
+    n = np.empty(dim)
+    jac = np.zeros((dim, dim - 1))
+    for i in range(dim):
+        val = 1.0
+        for k in range(i):
+            val *= sins[k]
+        n[i] = val * coss[i] if i < dim - 1 else val
+        for j in range(min(i + 1, dim - 1)):
+            val = 1.0
+            for k in range(i):
+                val *= coss[k] if k == j else sins[k]
+            if i == j:
+                val *= -sins[i]
+            elif i < dim - 1:
+                val *= coss[i]
+            jac[i, j] = val
+    return n, jac
+
+
 class TestFundamentalForms:
     def test_unit_sphere_equator(self):
         sc = EllipsoidSum.from_matrices([np.eye(3)])
@@ -232,3 +255,14 @@ class TestFundamentalForms:
         sc = EllipsoidSum.from_matrices([np.eye(3)])
         with pytest.raises(ValueError):
             fundamental_forms(sc, [1e-9, 0.0])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_chart_bitwise_against_coordinate_loops(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(200):
+            polar = rng.uniform(0.01, math.pi - 0.01, dim - 2)
+            phi = np.append(polar, rng.uniform(-math.pi, math.pi))
+            n, jac = _chart_normal_and_jacobian(phi, dim)
+            ref_n, ref_jac = chart_by_coordinates(phi, dim)
+            assert n.tobytes() == ref_n.tobytes()
+            assert jac.tobytes() == ref_jac.tobytes()

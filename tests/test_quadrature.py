@@ -13,7 +13,6 @@ from minksum.quadrature import (
     mean_curvature_integral,
     surface_area,
     sphere_measure,
-    surface_integral,
     unit_ball_volume,
     volume_divergence,
     volume_term_charts,
@@ -124,32 +123,27 @@ class TestQuadratureCache:
         assert type(quad.dim) is int
 
 
-class TestSurfaceIntegral:
+class TestSurfaceArea:
     def test_unit_sphere_area(self):
         sc = EllipsoidSum.from_matrices([np.eye(3)])
-        quad = build_quadrature(3, 32)
-        val = surface_integral(sc, lambda x, n: 1.0, quad)
+        val = surface_area(sc, build_quadrature(3, 32))
         assert val == pytest.approx(4 * math.pi, rel=1e-12)
 
     def test_circle_perimeter(self):
         sc = EllipsoidSum.from_matrices([1.7 * np.eye(2)])
-        quad = build_quadrature(2, 64)
-        val = surface_integral(sc, lambda x, n: 1.0, quad)
+        val = surface_area(sc, build_quadrature(2, 64))
         assert val == pytest.approx(2 * math.pi * 1.7, rel=1e-12)
 
     def test_pair_perimeter_vs_polyline(self, example_scene):
-        quad = build_quadrature(2, 512)
-        perim = surface_integral(example_scene, lambda x, n: 1.0, quad)
+        perim = surface_area(example_scene, build_quadrature(2, 512))
         oracle = polyline_perimeter(example_scene, 20_000)
         assert perim == pytest.approx(oracle, rel=1e-6)
 
     def test_dimension_mismatch(self):
         sc = EllipsoidSum.from_matrices([np.eye(2)])
         with pytest.raises(ValueError):
-            surface_integral(sc, lambda x, n: 1.0, build_quadrature(3, 8))
+            surface_area(sc, build_quadrature(3, 8))
 
-
-class TestSurfaceArea:
     def test_ball(self):
         sc = EllipsoidSum.from_matrices([2.0 * np.eye(3)])
         assert surface_area(sc, build_quadrature(3, 48)) == pytest.approx(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestAreaRecursive2d:
                 volume_divergence(sc, quad), rel=1e-6
             )
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    @pytest.mark.parametrize("small_first", [False, True])
+    def test_extreme_magnitude_ratio(self, scale, small_first):
+        # |A_j^-1 A_i|_F^2 and det A_i / det A_j under- or overflow here, so
+        # the area read NaN; the tiny term adds about `scale` times the area
+        a = np.array([[2.0, 0.3], [0.3, 1.0]])
+        tiny = scale * np.array([[1.0, -0.2], [-0.2, 3.0]])
+        sc = EllipsoidSum.from_matrices([tiny, a] if small_first else [a, tiny])
+        area = area_sum_2d_recursive(sc)
+        assert math.isfinite(area)
+        assert area == pytest.approx(math.pi * np.linalg.det(a), rel=1e-15)
+
     def test_perimeter_additivity(self):
         # the 2D boundary measure of a pair is the sum of the ellipse perimeters
         rng = np.random.default_rng(84)
@@ -224,6 +237,16 @@ class TestVolumeBounds3d:
                 for step in rep.components[1:]:
                     assert step["area_lower"] <= step["area_exact"] * (1 + 1e-9)
                     assert step["area_exact"] <= step["area_upper"] * (1 + 1e-9)
+
+    def test_rescaled_partial_sums_do_not_warn(self):
+        # every term has condition 2e4, far below COND_WARN, but the
+        # rescaled terms A_i A_k^-1 of the partial sums pass it
+        rng = np.random.default_rng(3)
+        sc = EllipsoidSum.from_matrices([conditioned_spd(rng, 2e4) for _ in range(4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            rep = volume_sum_3d_bounds(sc, build_quadrature(3, 16))
+        assert rep.lower <= rep.exact_value <= rep.upper
 
     def test_requires_three_terms(self):
         quad = build_quadrature(3, 16)
