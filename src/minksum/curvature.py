@@ -7,6 +7,11 @@ eigenvalues.  Reducing C to the tangent hyperplane with an orthonormal
 basis M gives the (N-1)x(N-1) SPD matrix C~ = M^T C M whose determinant is
 the Gauss-map area factor used for surface integrals.
 
+The principal curvatures need C~ itself (`reduced_stack`).  The area
+factor does not: `area_factors` takes det C~ = det(C + tau n n^T) / tau
+from the LDL^T pivots of C's distinct entries, held component-major as
+rows over the nodes, with no tangent basis and no (K, N, N) array.
+
 Production paths work directly with n; spherical-angle charts appear only
 in `fundamental_forms`, which exists to connect C~ to the classical
 G / L description.
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EllipsoidSum
+from .spd import _ldl
 
 # Chart points must keep polar angles this far from the poles.
 CHART_POLE_EPS = 1e-6
@@ -105,8 +111,14 @@ def tangent_basis(n) -> TangentBasis:
 
 
 def _reduce(c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """M^T C M for stacks of C (K, N, N) and tangent bases M (K, N, N-1), symmetrised."""
-    red = np.einsum("kpi,kpq,kqj->kij", m, c, m)
+    """M^T C M for stacks of C (K, N, N) and tangent bases M (K, N, N-1), symmetrised.
+
+    The product runs on batch-last copies, (N, N-1, K) and (N, N, K), so
+    einsum's inner loop runs over the K nodes; it sums in the same order
+    as over the batch-first stacks, so the bytes are the same.
+    """
+    mt = m.transpose(1, 2, 0).copy()
+    red = np.einsum("pik,pqk,qjk->kij", mt, c.transpose(1, 2, 0).copy(), mt)
     return 0.5 * (red + np.swapaxes(red, 1, 2))
 
 
@@ -121,6 +133,42 @@ def reduced_stack(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
     """C~(n) for each row of unit normals; shape (K, N-1, N-1)."""
     ns = np.atleast_2d(np.asarray(normals, dtype=float))
     return _reduce(curvature_stack(scene, ns), tangent_basis_stack(ns))
+
+
+def area_factors(scene: EllipsoidSum, n: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """det C~ at the columns of an (N, K) array of unit normals; shape (K,).
+
+    `r` is the (m, K) array of |A_i n| (`geometry.term_norms`).  In 2D,
+    C~ is the 1 x 1 sum_i det(A_i)^2 / |A_i n|^3, with det A_i from its
+    entries (np.linalg.det does not scale exactly by powers of two).  For
+    N >= 3, C(n) n = 0 gives det C~ = det(C + tau n n^T) / tau for any
+    tau > 0.  Here tau = sum_i tr(A_i^2) / |A_i n|, the trace of C's
+    positive part, so it has C's scale and C + tau n n^T is SPD; its
+    determinant is the product of the `spd._ldl` pivots.  C's N(N+1)/2
+    distinct entries are rows over the nodes, sum_i (A_i^2 - u_i u_i^T) /
+    |A_i n| with u_i = A_i^2 n / |A_i n|, so scaling every A_i by a power
+    of two scales the result exactly.
+    """
+    dim = len(n)
+    if dim == 2:
+        a = scene.stack
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        return np.sum(np.square(det)[:, None] / (r * r * r), axis=0)
+    upper = np.triu_indices(dim)
+    inv_r = 1.0 / r
+    c = scene.squares[:, upper[0], upper[1]].T @ inv_r
+    tau = np.trace(scene.squares, axis1=1, axis2=2) @ inv_r
+    tmp = np.empty_like(tau)
+    for a2, r_i in zip(scene.squares, r):
+        u = a2 @ n
+        u /= r_i
+        v = u / r_i
+        for row, p, q in zip(c, *upper):
+            row -= np.multiply(u[p], v[q], out=tmp)
+    t = n * tau
+    for row, p, q in zip(c, *upper):
+        row += np.multiply(t[p], n[q], out=tmp)
+    return np.prod(_ldl(c, dim)[1], axis=0) / tau
 
 
 def curvatures_from_reduced(red: np.ndarray) -> np.ndarray:

@@ -125,6 +125,16 @@ def support_values(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
     return np.sum(np.linalg.norm(ns @ scene.stack, axis=2), axis=0)
 
 
+def term_norms(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """|A_i n| as an (m, K) array for the columns of an (N, K) array n.
+
+    Component-major: the squares add over rows of length K, in index
+    order, as np.linalg.norm adds them along a row-major n for N < 8.
+    """
+    y = stack @ n
+    return np.sqrt(np.sum(np.square(y, out=y), axis=1))
+
+
 def support_value(scene: EllipsoidSum, n) -> float:
     """Support function of the sum at a single unit direction."""
     return float(support_values(scene, np.asarray(n, float)[None, :])[0])

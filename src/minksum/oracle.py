@@ -27,10 +27,11 @@ pool rows of length P.  numpy pays a per-row overhead on a trailing axis
 of length N = 2..5 that costs several times the arithmetic, so neither
 the pool nor the sampling reduces or broadcasts over one.  Each step
 builds the N(N+1)/2 distinct entries of every H with one matrix product
-and solves H n' = x by an LDL^T factorisation whose loops run over N, in
-place of a batched LAPACK solve, whose per-matrix call overhead on 2x2
-and 3x3 systems exceeds the solve itself.  H is SPD, so the
-factorisation needs no pivoting.  The sums over N add in index order, as
+and solves H n' = x with the component-major LDL^T of `spd._ldl`, whose
+loops run over N, in place of a batched LAPACK solve, whose per-matrix
+call overhead on 2x2 and 3x3 systems exceeds the solve itself.  H is
+SPD, so the factorisation needs no pivoting.  The norms |A_i n| come
+from `geometry.term_norms`.  The sums over N add in index order, as
 numpy's reductions over a length-N axis do for N < 8.
 """
 
@@ -44,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, geometry
-from .geometry import EllipsoidSum
+from .geometry import EllipsoidSum, term_norms
+from .spd import _ldl
 
 _BATCH = 1 << 15
 _POOL = 1 << 12
@@ -75,39 +77,16 @@ class McEstimate:
         }
 
 
-def _term_norms(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """|A_i n| as an (m, P) array for the columns of an (N, P) array n.
-
-    The squares add in index order, as np.linalg.norm adds them along a
-    row-major n for N < 8.
-    """
-    return np.sqrt(np.sum(np.square(stack @ n), axis=1))
-
-
 def _ldl_solve(h_upper: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Solve H n = x for every column of a pool of SPD matrices H.
 
     h_upper holds one row per entry of H's upper triangle, in
-    np.triu_indices order, and one column per pool row; x is (N, P).  H is
-    SPD, so the LDL^T factorisation needs no pivoting.  Its loops run
-    over N, and each step works on whole pool rows.
+    np.triu_indices order, and one column per pool row; x is (N, P).  The
+    factors come from `spd._ldl`; forward and back substitution run over
+    N on whole pool rows.
     """
     dim = x.shape[0]
-    # the factorisation visits H_ji, j <= i, in np.triu_indices order
-    entries = iter(h_upper)
-    # ld[i][k] = L_ik d_k and low[i][k] = L_ik for k < i
-    ld = [[None] * dim for _ in range(dim)]
-    low = [[None] * dim for _ in range(dim)]
-    d = []
-    for j in range(dim):
-        for i in range(j, dim):
-            v = next(entries)
-            for k in range(j):
-                v = v - ld[i][k] * low[j][k]
-            if i == j:
-                d.append(v)
-            else:
-                ld[i][j], low[i][j] = v, v / d[j]
+    low, d = _ldl(h_upper, dim)
     y = []
     for i in range(dim):
         v = x[i]
@@ -156,14 +135,14 @@ def _gauge_test(
             new, pending = pending[:free].T, pending[free:]
             # the outer ellipsoid's normal at x: the gradient of its form
             n = outer_q.T @ new
-            r_new = _term_norms(stack, n) / np.sum(new * n, axis=0)
+            r_new = term_norms(stack, n) / np.sum(new * n, axis=0)
             x = np.concatenate([x, new], axis=1)
             r = np.concatenate([r, r_new], axis=1)
             steps = np.concatenate([steps, np.zeros(new.shape[1], dtype=np.int64)])
         if x.shape[1] == 0:
             return inside, undecided
         n = _ldl_solve(sq_upper @ (1.0 / r), x)
-        r_new = _term_norms(stack, n)
+        r_new = term_norms(stack, n)
         x_dot = np.sum(x * n, axis=0)
         is_in = np.max(r_new / r, axis=0) <= 1.0
         live = ~is_in & (x_dot <= np.sum(r_new, axis=0))

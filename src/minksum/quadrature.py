@@ -16,9 +16,13 @@ for N >= 4.  In 3D it checks against the mixed volumes of
 `steiner.volume_sum_3d_mixed`, which take only their triple terms from
 the upper hemisphere of this rule.
 
-Node evaluation is vectorized; sums are taken over arrays in fixed node
-order, so repeated runs produce bitwise-identical results.  Sphere rules
-are cached and shared, with read-only arrays: copy them before writing.
+The area factor det C~ comes from `curvature.area_factors` and the term
+norms |A_i n| from `geometry.term_norms`, which the support function h
+and the per-term chart shares reuse.  Nodes are evaluated in blocks of
+_BLOCK, component-major, so each block's arrays stay in cache; the
+per-node values are then summed over arrays in fixed node order, so
+repeated runs produce bitwise-identical results.  Sphere rules are cached
+and shared, with read-only arrays: copy them before writing.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ import numpy as np
 
 from . import curvature, geometry
 from .geometry import EllipsoidSum
+
+# Nodes per block of the surface integrals: the (N, block) and (m, block)
+# arrays of one block stay in cache.
+_BLOCK = 8192
 
 
 def sphere_measure(dim: int) -> float:
@@ -115,11 +123,6 @@ def _dets(red: np.ndarray) -> np.ndarray:
     return red[:, 0, 0] if red.shape[1] == 1 else np.linalg.det(red)
 
 
-def _area_factors(scene: EllipsoidSum, quad: SphereQuadrature) -> np.ndarray:
-    """det C~ at every quadrature node."""
-    return _dets(curvature.reduced_stack(scene, quad.nodes))
-
-
 def _check_dim(scene: EllipsoidSum, quad: SphereQuadrature):
     if scene.dim != quad.dim:
         raise ValueError(
@@ -127,11 +130,21 @@ def _check_dim(scene: EllipsoidSum, quad: SphereQuadrature):
         )
 
 
+def _blockwise(f, quad: SphereQuadrature) -> np.ndarray:
+    """f(u, w) on blocks of _BLOCK rows u of `quad`'s nodes and their weights w, concatenated."""
+    blocks = [slice(s, s + _BLOCK) for s in range(0, len(quad.nodes), _BLOCK)]
+    return np.concatenate([f(quad.nodes[b], quad.weights[b]) for b in blocks])
+
+
 def surface_area(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     """Boundary measure (perimeter for N = 2, surface area for N = 3)."""
     _check_dim(scene, quad)
-    dets = _area_factors(scene, quad)
-    return float(np.sum(quad.weights * dets))
+
+    def integrand(u, w):
+        n = np.ascontiguousarray(u.T)
+        return w * curvature.area_factors(scene, n, geometry.term_norms(scene.stack, n))
+
+    return float(np.sum(_blockwise(integrand, quad)))
 
 
 def mean_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
@@ -176,10 +189,14 @@ def volume_divergence(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     terms are ill-conditioned in different directions.
     """
     _check_dim(scene, quad)
-    chart = _chart(quad, np.linalg.inv(np.sum(scene.stack, axis=0)))
-    dets = _area_factors(scene, chart)
-    h = geometry.support_values(scene, chart.nodes)
-    return float(np.sum(chart.weights * h * dets) / scene.dim)
+    b = np.linalg.inv(np.sum(scene.stack, axis=0))
+
+    def integrand(u, w):
+        n, density = _chart(u, b)
+        r = geometry.term_norms(scene.stack, n)
+        return w * density * np.sum(r, axis=0) * curvature.area_factors(scene, n, r)
+
+    return float(np.sum(_blockwise(integrand, quad)) / scene.dim)
 
 
 def volume_term_charts(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
@@ -196,21 +213,25 @@ def volume_term_charts(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     _check_dim(scene, quad)
     dim, m = scene.dim, scene.m
     base = build_quadrature(dim, max(4, round((len(quad.nodes) / m) ** (1.0 / (dim - 1)))))
-    charts = _chart(base, np.linalg.inv(scene.stack))
-    norms = np.linalg.norm(charts.nodes @ scene.stack, axis=2)
-    q = np.linalg.det(scene.stack)[:, None] / norms**dim
-    own = q.reshape(m, m, -1)[np.arange(m), np.arange(m)].ravel()
-    dets = _area_factors(scene, charts)
-    h = geometry.support_values(scene, charts.nodes)
-    return float(np.sum(charts.weights * own / np.sum(q, axis=0) * h * dets) / dim)
+    inv, det = np.linalg.inv(scene.stack), np.linalg.det(scene.stack)
+
+    def integrand(k, u, w):
+        n, density = _chart(u, inv[k])
+        r = geometry.term_norms(scene.stack, n)
+        q = det[:, None] / r**dim
+        share = w * density * q[k] / np.sum(q, axis=0)
+        return share * np.sum(r, axis=0) * curvature.area_factors(scene, n, r)
+
+    pieces = [_blockwise(functools.partial(integrand, k), base) for k in range(m)]
+    return float(np.sum(np.concatenate(pieces)) / dim)
 
 
-def _chart(quad: SphereQuadrature, b: np.ndarray) -> SphereQuadrature:
-    """`quad` carried to n = Bu/|Bu|, weights times det B / |Bu|^N; one chart per B of a stack."""
-    bu = quad.nodes @ b
-    r = np.linalg.norm(bu, axis=-1)
-    weights = quad.weights * (np.linalg.det(b)[..., None] / r**quad.dim)
-    return SphereQuadrature(quad.dim, (bu / r[..., None]).reshape(-1, quad.dim), weights.ravel())
+def _chart(u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows u of rule nodes carried to the normals n = Bu/|Bu|, component-major
+    (N, K), and the chart's density det B / |Bu|^N."""
+    bu = b.T @ u.T
+    r = np.linalg.norm(bu, axis=0)
+    return bu / r, np.linalg.det(b) / r ** len(bu)
 
 
 def default_resolution(dim: int) -> int:

@@ -19,6 +19,11 @@ factorization does not depend on the solver's sign choice.
 
 Every root of a Gram matrix, |G| = (G^T G)^(1/2) for a square or tall G,
 is `_abs`, from the SVD of G, so the entries of G are never squared.
+
+Pools of small SPD matrices, one per node or sample, are factored by
+`_ldl`: an unpivoted LDL^T held component-major, whose loops run over N
+on whole pool rows.  The Monte Carlo oracle solves with it and
+`curvature.area_factors` takes determinants from its pivots.
 """
 
 from __future__ import annotations
@@ -104,6 +109,38 @@ class SpdMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
+
+
+def _ldl(upper, dim: int) -> tuple[list, list]:
+    """Unpivoted LDL^T factors of a pool of symmetric matrices held component-major.
+
+    `upper` holds one row per entry of the upper triangle, in
+    np.triu_indices(dim) order, and one column per matrix.  Returns
+    (low, d): low[i][k] = L_ik for k < i and the pivots d_j, each a row
+    over the pool.  An SPD matrix needs no pivoting, and its determinant
+    is the product of the d_j (Golub & Van Loan, Matrix Computations,
+    4th ed., 4.2).  The loops run over N, and each step works on whole
+    pool rows.  A zero pivot, which only a matrix singular to working
+    precision gives, leaves its column of L at 0 rather than dividing by
+    it, so the factors of finite entries are finite.
+    """
+    # the factorisation visits H_ji, j <= i, in np.triu_indices order
+    entries = iter(upper)
+    # ld[i][k] = L_ik d_k and low[i][k] = L_ik for k < i
+    ld = [[None] * dim for _ in range(dim)]
+    low = [[None] * dim for _ in range(dim)]
+    d = []
+    for j in range(dim):
+        for i in range(j, dim):
+            v = next(entries)
+            for k in range(j):
+                v = v - ld[i][k] * low[j][k]
+            if i == j:
+                d.append(v)
+                pivot = v if v.all() else np.where(v == 0.0, np.inf, v)
+            else:
+                ld[i][j], low[i][j] = v, v / pivot
+    return low, d
 
 
 def _spectral(V: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_scene, random_spd, random_unit
+from conftest import conditioned_spd, random_scene, random_spd, random_unit
 from minksum.curvature import (
     _chart_normal_and_jacobian,
+    area_factors,
     curvature_matrix,
     curvature_term,
     fundamental_forms,
     principal_curvatures,
     reduced_curvature,
+    reduced_stack,
     tangent_basis,
 )
-from minksum.geometry import EllipsoidSum, boundary_points
+from minksum.geometry import EllipsoidSum, boundary_points, term_norms
 from minksum.spd import sym_eigen
 
 
@@ -266,3 +270,71 @@ class TestFundamentalForms:
             ref_n, ref_jac = chart_by_coordinates(phi, dim)
             assert n.tobytes() == ref_n.tobytes()
             assert jac.tobytes() == ref_jac.tobytes()
+
+
+def reference_area_factors(scene, ns):
+    """det C~ at rows of unit normals from the Householder reduction M^T C M."""
+    red = reduced_stack(scene, ns)
+    return red[:, 0, 0] if scene.dim == 2 else np.linalg.det(red)
+
+
+def kernel_area_factors(scene, ns):
+    n = np.ascontiguousarray(ns.T)
+    return area_factors(scene, n, term_norms(scene.stack, n))
+
+
+def unit_rows(rng, dim, k):
+    ns = rng.normal(size=(k, dim))
+    return ns / np.linalg.norm(ns, axis=1, keepdims=True)
+
+
+class TestAreaFactors:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.integers(1, 6),
+        st.floats(0.0, 3.0),
+    )
+    def test_matches_householder_reduction(self, seed, dim, m, log_kappa):
+        # every term has condition 10^u, u uniform on [0, log_kappa]
+        rng = np.random.default_rng(seed)
+        sc = EllipsoidSum.from_matrices(
+            [conditioned_spd(rng, 10.0 ** rng.uniform(0.0, log_kappa), dim) for _ in range(m)]
+        )
+        ns = unit_rows(rng, dim, 64)
+        ref = reference_area_factors(sc, ns)
+        assert np.all(np.abs(kernel_area_factors(sc, ns) - ref) <= 1e-10 * ref)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_power_of_two_scaling_is_exact(self, dim):
+        # det C~ is homogeneous of degree N - 1 in the terms, and scaling by
+        # a power of two rounds nothing
+        rng = np.random.default_rng(60 + dim)
+        for m in (1, 2, 5):
+            sc = EllipsoidSum.from_matrices(
+                [conditioned_spd(rng, 10.0 ** rng.uniform(0.0, 3.0), dim) for _ in range(m)]
+            )
+            ns = unit_rows(rng, dim, 256)
+            dets = kernel_area_factors(sc, ns)
+            for k in (-7, -1, 1, 7):
+                scaled = EllipsoidSum.from_matrices(2.0**k * sc.stack)
+                expected = 2.0 ** (k * (dim - 1)) * dets
+                assert kernel_area_factors(scaled, ns).tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:ellipsoid .* has condition number")
+    @pytest.mark.parametrize("dim, res", [(2, 256), (3, 64), (4, 16)])
+    def test_finite_near_the_parser_limit(self, dim, res):
+        # single terms at condition 10^9.9 make exact zero pivots in 3D
+        from minksum.quadrature import build_quadrature
+
+        ns = build_quadrature(dim, res).nodes
+        for seed in range(10):
+            rng = np.random.default_rng([79, dim, seed])
+            for m in (1, 2):
+                sc = EllipsoidSum.from_matrices(
+                    [conditioned_spd(rng, 10.0**9.9, dim) for _ in range(m)]
+                )
+                dets = kernel_area_factors(sc, ns)
+                assert np.all(np.isfinite(dets))
+                if dim == 2:  # the closed form has no cancellation
+                    assert np.all(dets > 0)

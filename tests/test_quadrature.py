@@ -259,12 +259,14 @@ class TestVolumeDivergence:
             assert val == pytest.approx(expected, rel=1e-10)
 
     def test_area_factors_positive(self):
-        from minksum.quadrature import _area_factors
+        from minksum.curvature import area_factors
+        from minksum.geometry import term_norms
 
         rng = np.random.default_rng(45)
         for dim, res in ((2, 64), (3, 16)):
             sc = random_scene(rng, dim, 3)
-            dets = _area_factors(sc, build_quadrature(dim, res))
+            n = build_quadrature(dim, res).nodes.T
+            dets = area_factors(sc, n, term_norms(sc.stack, n))
             assert np.all(dets > 0)
 
 

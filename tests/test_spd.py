@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_rotation, random_spd
 from minksum.spd import SpdError, SpdMatrix, geometric_mean, spd_sqrt, sym_eigen
-from minksum.spd import _inv_sqrt_raw, _sqrt_raw, _sym_part
+from minksum.spd import _inv_sqrt_raw, _ldl, _sqrt_raw, _sym_part
 
 
 class TestSymEigen:
@@ -173,6 +173,39 @@ class TestGeometricMean:
             inner = _sqrt_raw(phi @ q.entries @ phi)
             ref = _sym_part(ph @ inner @ ph)
             assert np.array_equal(geometric_mean(p, q).entries, ref)
+
+
+def pool_upper(mats):
+    """The upper-triangle entries of a stack of matrices as rows over the stack."""
+    upper = np.triu_indices(mats.shape[1])
+    return np.ascontiguousarray(mats[:, upper[0], upper[1]].T)
+
+
+class TestLdl:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_factors_reconstruct_and_pivots_give_the_determinant(self, dim):
+        rng = np.random.default_rng(120 + dim)
+        mats = np.stack([random_spd(rng, dim) for _ in range(50)])
+        low, d = _ldl(pool_upper(mats), dim)
+        ell = np.zeros_like(mats)
+        for i in range(dim):
+            ell[:, i, i] = 1.0
+            for k in range(i):
+                ell[:, i, k] = low[i][k]
+        rebuilt = ell @ (np.stack(d, axis=1)[:, :, None] * np.swapaxes(ell, 1, 2))
+        assert np.allclose(rebuilt, mats, rtol=0.0, atol=1e-13 * np.max(np.abs(mats)))
+        dets = np.prod(d, axis=0)
+        assert np.allclose(dets, np.linalg.det(mats), rtol=1e-12, atol=0.0)
+
+    def test_zero_pivot_leaves_finite_factors(self):
+        # [[0, 0], [0, 1]] and [[0, 1], [1, 0]] have a zero first pivot
+        mats = np.array(
+            [[[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[2.0, 1.0], [1.0, 2.0]]]
+        )
+        with np.errstate(all="raise"):
+            low, d = _ldl(pool_upper(mats), 2)
+        assert low[1][0].tolist() == [0.0, 0.0, 0.5]
+        assert np.stack(d).T.tolist() == [[0.0, 1.0], [0.0, 0.0], [2.0, 1.5]]
 
 
 class TestBlasKernel:
