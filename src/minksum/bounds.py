@@ -78,18 +78,6 @@ def inner_sum_matrix(scene: EllipsoidSum) -> SpdMatrix:
     return SpdMatrix(np.sum(scene.stack, axis=0))
 
 
-def _search_nodes(dim: int, resolution: int) -> np.ndarray:
-    """Rows of the `resolution` sphere rule that a search for the max of an even function needs.
-
-    For an even resolution that is the second half of the rule (at dim >= 3
-    the rows with positive last coordinate): the antipode of each node of
-    the first half is there, to within a few ulps.  Support functions of
-    centred bodies are even.  An odd resolution keeps the whole rule.
-    """
-    nodes = quadrature.build_quadrature(dim, resolution).nodes
-    return nodes if resolution % 2 else nodes[len(nodes) // 2 :]
-
-
 def containment_check(candidate: SpdMatrix, scene: EllipsoidSum, resolution=None) -> bool:
     """True iff E_candidate is contained in the Minkowski sum.
 
@@ -97,15 +85,15 @@ def containment_check(candidate: SpdMatrix, scene: EllipsoidSum, resolution=None
     max violation is searched by `geometry.max_support_gap` on the sphere
     rule of `resolution` (720 in 2D, 64 otherwise), the body giving |A_c n|
     and its gradient A_c^2 n / |A_c n|, against a 1e-9 relative slack.
-    Both sides are even in n, so an even-resolution rule is searched on
-    one node of each antipodal pair (`_search_nodes`), and the 5 ascents
-    start from 5 distinct directions; an odd one is searched whole.
+    Both sides are even in n, so the search runs on `quadrature.hemisphere`
+    of the rule: for an even resolution one node per antipodal pair, so the
+    5 ascents start from 5 distinct directions.
     """
     if candidate.dim != scene.dim:
         raise ValueError("dimension mismatch")
     if resolution is None:
         resolution = 720 if scene.dim == 2 else 64
-    nodes = _search_nodes(scene.dim, resolution)
+    nodes = quadrature.hemisphere(quadrature.build_quadrature(scene.dim, resolution)).nodes
     h = geometry.support_values(scene, nodes)
     c = candidate.entries
     c2 = c @ c
@@ -353,7 +341,8 @@ def _outer_pair(scene: EllipsoidSum) -> tuple[SpdMatrix, SpdMatrix]:
     outer = min(pair, key=SpdMatrix.det)  # the fixed point's unless the heuristic's is smaller
 
     # Containment is guaranteed analytically; spot-check on a grid.
-    nodes = _search_nodes(scene.dim, {2: 720, 3: 32}.get(scene.dim, 8))
+    quad = quadrature.build_quadrature(scene.dim, {2: 720, 3: 32}.get(scene.dim, 8))
+    nodes = quadrature.hemisphere(quad).nodes
     h = geometry.support_values(scene, nodes)
     gap = h - np.linalg.norm(nodes @ outer.entries, axis=1)
     if float(np.max(gap)) > 1e-9 * float(np.max(h)):

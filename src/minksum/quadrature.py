@@ -7,14 +7,17 @@ Gauss-Gegenbauer rules in the polar cosines (Atkinson & Han, Spherical
 Harmonics and Approximations on the Unit Sphere, 2012), the Gauss rules
 built by the Golub-Welsch eigenvalue method.
 
-`volume_divergence` integrates in the Gauss-map chart of the plain-sum
-ellipsoid, n = Bu/|Bu| with B = (sum_i A_i)^-1, which makes a single
-ellipsoid's volume exact at any resolution.  `volume_term_charts` gives
-each term A_k its own chart and splits the integrand between them, which
-keeps sums of ill-conditioned terms accurate; `bounds` checks against it
-for N >= 4.  In 3D it checks against the mixed volumes of
-`steiner.volume_sum_3d_mixed`, which take only their triple terms from
-the upper hemisphere of this rule.
+Every integrand here is even in the node u (h, C(n) and det C~ are even
+in n; a chart n = Bu/|Bu| is odd in u, its density even), so each runs
+on `hemisphere`, half an even-resolution rule at doubled weights, as do
+the searches of `bounds` and the triple terms of `steiner`.
+
+`volume_divergence` and `surface_area` integrate in the Gauss-map chart
+of the plain-sum ellipsoid, n = Bu/|Bu| with B = (sum_i A_i)^-1, which
+makes a single ellipsoid's volume exact at any resolution (`_plain_chart`).
+`volume_term_charts` gives each term A_k its own chart and splits the
+integrand between them, which keeps sums of ill-conditioned terms
+accurate; `bounds` checks against it for N >= 4.
 
 The area factor det C~ comes from `curvature.area_factors` and the term
 norms |A_i n| from `geometry.term_norms`, which the support function h
@@ -61,6 +64,13 @@ class SphereQuadrature:
     weights: np.ndarray
 
 
+@dataclass(frozen=True)
+class _ProductRule(SphereQuadrature):
+    """A `build_quadrature` rule; `hemisphere` halves it by its resolution."""
+
+    resolution: int
+
+
 def _gauss_gegenbauer(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule on [-1, 1] for the weight (1 - u^2)^(alpha - 1/2).
 
@@ -83,7 +93,8 @@ def build_quadrature(dim: int, resolution: int) -> SphereQuadrature:
     nodes by sqrt(1 - u^2), k being the new ambient dimension.  The rule
     integrates polynomials of degree < resolution exactly, so the weights
     sum to the sphere measure.  At dim = 3 the node (i, j) is
-    (rho_i cos psi_j, rho_i sin psi_j, u_i), row i * resolution + j.
+    (rho_i cos psi_j, rho_i sin psi_j, u_i), row i * resolution + j; the
+    u_i ascend, so at even r node (i, j) has its antipode (r-1-i, j+r/2).
     Cached on (dim, resolution): every call returns the same rule, whose
     arrays are read-only, so a caller that writes to them copies first.
     """
@@ -95,7 +106,7 @@ def build_quadrature(dim: int, resolution: int) -> SphereQuadrature:
 
 
 @functools.lru_cache(maxsize=16)
-def _rule(dim: int, resolution: int) -> SphereQuadrature:
+def _rule(dim: int, resolution: int) -> _ProductRule:
     """The build behind `build_quadrature`; the cache keeps the 16 latest rules."""
     theta = 2.0 * np.pi * np.arange(resolution) / resolution
     nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -112,15 +123,21 @@ def _rule(dim: int, resolution: int) -> SphereQuadrature:
         weights = np.outer(w, weights).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return SphereQuadrature(dim, nodes, weights)
+    return _ProductRule(dim, nodes, weights, resolution)
 
 
-def _dets(red: np.ndarray) -> np.ndarray:
-    """det C~ of a (K, N-1, N-1) stack; in 2D the entries themselves.
+def hemisphere(quad: SphereQuadrature) -> SphereQuadrature:
+    """The rule an integrand even in the node u needs: `quad`, or half of it.
 
-    `np.linalg.det` of a 1 x 1 stack can miss its entry by one ulp.
+    For a `build_quadrature` rule of even resolution, the second half of
+    its rows (at dim >= 3 those with u_N > 0) at doubled weights: each node
+    of the first half has its antipode there, to within a few ulps.  An
+    odd resolution, or a rule `build_quadrature` did not make, is whole.
     """
-    return red[:, 0, 0] if red.shape[1] == 1 else np.linalg.det(red)
+    if not isinstance(quad, _ProductRule) or quad.resolution % 2:
+        return quad
+    start = len(quad.nodes) // 2
+    return SphereQuadrature(quad.dim, quad.nodes[start:], 2.0 * quad.weights[start:])
 
 
 def _check_dim(scene: EllipsoidSum, quad: SphereQuadrature):
@@ -131,20 +148,31 @@ def _check_dim(scene: EllipsoidSum, quad: SphereQuadrature):
 
 
 def _blockwise(f, quad: SphereQuadrature) -> np.ndarray:
-    """f(u, w) on blocks of _BLOCK rows u of `quad`'s nodes and their weights w, concatenated."""
-    blocks = [slice(s, s + _BLOCK) for s in range(0, len(quad.nodes), _BLOCK)]
-    return np.concatenate([f(quad.nodes[b], quad.weights[b]) for b in blocks])
+    """f(u, w) on blocks of _BLOCK rows u of `hemisphere(quad)` and their
+    weights w, concatenated; f must be even in u."""
+    half = hemisphere(quad)
+    blocks = [slice(s, s + _BLOCK) for s in range(0, len(half.nodes), _BLOCK)]
+    return np.concatenate([f(half.nodes[b], half.weights[b]) for b in blocks])
+
+
+def _plain_chart(scene: EllipsoidSum, quad: SphereQuadrature, f) -> float:
+    """Integral of f(r) det C~(n), r the term norms |A_i n|, in the chart of
+    B = (sum_i A_i)^-1 (`volume_divergence`)."""
+    _check_dim(scene, quad)
+    b = np.linalg.inv(np.sum(scene.stack, axis=0))
+
+    def integrand(u, w):
+        n, density = _chart(u, b)
+        r = geometry.term_norms(scene.stack, n)
+        return w * density * f(r) * curvature.area_factors(scene, n, r)
+
+    return float(np.sum(_blockwise(integrand, quad)))
 
 
 def surface_area(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
-    """Boundary measure (perimeter for N = 2, surface area for N = 3)."""
-    _check_dim(scene, quad)
-
-    def integrand(u, w):
-        n = np.ascontiguousarray(u.T)
-        return w * curvature.area_factors(scene, n, geometry.term_norms(scene.stack, n))
-
-    return float(np.sum(_blockwise(integrand, quad)))
+    """Boundary measure (perimeter for N = 2, surface area for N = 3): the
+    integral of det C~ in the plain-sum chart of `volume_divergence`."""
+    return _plain_chart(scene, quad, lambda r: 1.0)
 
 
 def mean_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
@@ -156,9 +184,11 @@ def mean_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> floa
     if scene.dim != 3:
         raise ValueError("mean_curvature_integral requires a 3D scene")
     _check_dim(scene, quad)
-    c = curvature.curvature_stack(scene, quad.nodes)
-    tr = np.trace(c, axis1=1, axis2=2)
-    return float(0.5 * np.sum(quad.weights * tr))
+
+    def integrand(u, w):
+        return w * np.trace(curvature.curvature_stack(scene, u), axis1=1, axis2=2)
+
+    return float(0.5 * np.sum(_blockwise(integrand, quad)))
 
 
 def gaussian_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
@@ -172,10 +202,15 @@ def gaussian_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> 
     if scene.dim not in (2, 3):
         raise ValueError("gaussian_curvature_integral supports N in {2, 3}")
     _check_dim(scene, quad)
-    red = curvature.reduced_stack(scene, quad.nodes)
-    # at most two factors, whose product does not depend on their order
-    kappa_prod = np.prod(curvature.curvatures_from_reduced(red), axis=1)
-    return float(np.sum(quad.weights * kappa_prod * _dets(red)))
+
+    def integrand(u, w):
+        red = curvature.reduced_stack(scene, u)
+        # np.linalg.det of a 1 x 1 stack can miss its entry by one ulp
+        dets = red[:, 0, 0] if scene.dim == 2 else np.linalg.det(red)
+        # at most two factors, whose product does not depend on their order
+        return w * np.prod(curvature.curvatures_from_reduced(red), axis=1) * dets
+
+    return float(np.sum(_blockwise(integrand, quad)))
 
 
 def volume_divergence(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
@@ -188,15 +223,7 @@ def volume_divergence(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     follows the plain sum's shape only, so the error still grows when the
     terms are ill-conditioned in different directions.
     """
-    _check_dim(scene, quad)
-    b = np.linalg.inv(np.sum(scene.stack, axis=0))
-
-    def integrand(u, w):
-        n, density = _chart(u, b)
-        r = geometry.term_norms(scene.stack, n)
-        return w * density * np.sum(r, axis=0) * curvature.area_factors(scene, n, r)
-
-    return float(np.sum(_blockwise(integrand, quad)) / scene.dim)
+    return _plain_chart(scene, quad, lambda r: np.sum(r, axis=0)) / scene.dim
 
 
 def volume_term_charts(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
@@ -207,8 +234,9 @@ def volume_term_charts(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     split into the pieces weighted q_k / sum_j q_j (the balance heuristic of
     Veach & Guibas, SIGGRAPH 1995), and piece k is integrated in chart k.
     Each chart has resolution r / m^(1/(N-1)), r being implied by the node
-    count of `quad`, so the total node count stays that of `quad`.  Exact
-    for one ellipsoid and for sums of balls.
+    count of `quad`, so the total node count stays that of `quad`; an odd
+    one has no antipodal pairs and is used whole.  Exact for one ellipsoid
+    and for sums of balls.
     """
     _check_dim(scene, quad)
     dim, m = scene.dim, scene.m

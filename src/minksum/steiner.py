@@ -189,25 +189,6 @@ def _ellipsoid_area(a: SpdMatrix) -> float:
     return 4.0 * math.pi * float(np.prod(lam)) * _carlson_rg(*(1.0 / (lam * lam)).tolist())
 
 
-def _upper_hemisphere(quad) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of `quad` with u_3 > 0 and their weights doubled, for even integrands.
-
-    `quad` is a 3D `quadrature.build_quadrature` rule, row i * r + j at
-    polar index i, whose polar cosines ascend.  For even r the rule pairs
-    node (i, j) with its antipode (r-1-i, j+r/2), so the upper half with
-    doubled weights is the full rule.  For odd r the equator row is kept
-    too, at its own weight.
-    """
-    r = math.isqrt(len(quad.nodes))
-    if quad.dim != 3 or r * r != len(quad.nodes):
-        raise ValueError("the triple terms need a 3D build_quadrature rule")
-    start = (r // 2) * r
-    weights = 2.0 * quad.weights[start:]
-    if r % 2:
-        weights[:r] = quad.weights[start : start + r]
-    return quad.nodes[start:], weights
-
-
 def _cross_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(T, 9, 3) stacks of the maps u -> (P u) x q_c, q_c the columns of Q."""
     cols = np.swapaxes(p, 1, 2)[:, None, :, :]  # (T, 1, l, 3): columns of P
@@ -223,22 +204,23 @@ def _triple_terms(stack, inv, det, triples, quad) -> np.ndarray:
     cancellation when a nearly parallels a column of Q), and
     sigma_1 sigma_2 = |det Q| |Q^-1 a| |a| = (det A_j / det A_k) |R u| |a|
     with R = A_j^-1 A_i.  One product of the stacked (15, 3) maps with the
-    nodes gives all three per block; `_perimeters` takes L from them.
+    nodes gives all three per block; `_perimeters` takes L from them.  The
+    integrand is even in u, so the nodes are `quadrature.hemisphere(quad)`.
     """
-    nodes, weights = _upper_hemisphere(quad)
+    half = quadrature.hemisphere(quad)
     out = np.empty(len(triples))
-    block = max(1, TRIPLE_BLOCK // len(nodes))
+    block = max(1, TRIPLE_BLOCK // len(half.nodes))
     for start in range(0, len(triples), block):
         i, j, k = triples[start : start + block].T
         p, q = inv[k] @ stack[i], inv[k] @ stack[j]
         maps = np.concatenate([_cross_rows(p, q), p, inv[j] @ stack[i]], axis=1)
-        x = (maps.reshape(-1, 3) @ nodes.T).reshape(len(i), 15, -1)
+        x = (maps.reshape(-1, 3) @ half.nodes.T).reshape(len(i), 15, -1)
         x *= x
         s = np.sum(x[:, :9], axis=1)
         norms2 = np.sum(x[:, 9:12], axis=1) * np.sum(x[:, 12:], axis=1)
         prod = (det[j] / det[k])[:, None] * np.sqrt(norms2)
         # the rule's weights sum to 4 pi, so this is (2/3) det A_k mean_u L
-        out[start : start + len(i)] = (2.0 / 3.0) * det[k] * (_perimeters(s, prod) @ weights)
+        out[start : start + len(i)] = (2.0 / 3.0) * det[k] * (_perimeters(s, prod) @ half.weights)
     return out
 
 
@@ -246,9 +228,9 @@ def mixed_volumes_3d(scene: EllipsoidSum, quad=None) -> np.ndarray:
     """The mixed volumes V(E_i, E_j, E_k) of a 3D scene, a symmetric (m, m, m) array.
 
     The diagonal is V_B det A_i and the pair terms are closed forms (module
-    docstring).  The C(m, 3) triple terms are sphere means taken on the
-    upper hemisphere of `quad`, a `quadrature.build_quadrature(3, r)` rule
-    (the default rule when None); only they depend on it.  Exact for m <= 2,
+    docstring).  The C(m, 3) triple terms are sphere means taken on
+    `quadrature.hemisphere(quad)`, `quad` being a 3D sphere rule (the
+    default rule when None); only they depend on it.  Exact for m <= 2,
     for balls and for homothetic terms.
 
     A triple's sphere mean runs over the directions u of one term A_i, and
@@ -279,6 +261,7 @@ def mixed_volumes_3d(scene: EllipsoidSum, quad=None) -> np.ndarray:
         rolls = np.argmin(cost, axis=0)[:, None]
         roles = triples[np.arange(len(triples))[:, None], (rolls + np.arange(3)) % 3]
         quad = quadrature.default_quadrature(3) if quad is None else quad
+        quadrature._check_dim(scene, quad)
         values = _triple_terms(stack, inv, det, roles, quad)
         for perm in itertools.permutations(triples.T):
             terms[perm] = values

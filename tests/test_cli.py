@@ -507,25 +507,56 @@ class TestStartup:
         assert res.exit_code == 0
         assert minksum.__version__ in res.stdout
 
-    def test_import_skips_scipy_optimize(self):
-        # no scipy module at all, after the CLI import and after a 2D Steiner area
-        src = str(Path(minksum.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    def test_import_skips_scipy_optimize(self, tmp_path):
+        # src/ never imports scipy: not on `import minksum.cli`, not on import
+        # of any module, not in any CLI command (a fresh interpreter), and no
+        # import statement names it
+        import ast
+        import pkgutil
+
+        rng = np.random.default_rng(11)
+        scenes = {}
+        for dim, m in ((2, 2), (3, 3)):
+            mats = [random_spd(rng, dim) for _ in range(m)]
+            scenes[dim] = write_scene(
+                tmp_path, {"dimension": dim, "ellipsoids": [{"matrix": a.tolist()} for a in mats]},
+                name=f"scene{dim}.json",
+            )
+        commands = [
+            ["volume", scenes[3]], ["volume", scenes[3], "--method", "steiner"],
+            ["volume", scenes[2], "--method", "steiner"], ["bounds", scenes[3]],
+            ["bounds", scenes[2]], ["boundary", scenes[3], "--samples", "10"],
+            ["plot", scenes[2]], ["oracle", scenes[3], "--samples", "2000", "--seed", "1"],
+        ]
+        package = Path(minksum.__file__).resolve().parent
+        names = [f"minksum.{m.name}" for m in pkgutil.iter_modules([str(package)])]
         code = "\n".join(
             [
-                "import sys, minksum.cli as cli",
-                "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']",
-                "print(scipy())",
-                "cli.quadrature.build_quadrature(3, 8)",
-                "mats = [[[2.0, 1.0], [1.0, 3.0]], [[1.0, 0.0], [0.0, 5.0]]]",
-                "cli.steiner.area_sum_2d_recursive(cli.EllipsoidSum.from_matrices(mats))",
-                "print(scipy())",
+                "import contextlib, importlib, io, sys",
+                "from minksum.cli import main",
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+                f"for name in {names!r}: importlib.import_module(name)",
+                f"for argv in {commands!r}:",
+                "    with contextlib.redirect_stdout(io.StringIO()):",
+                "        main(argv, standalone_mode=False)",
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
             ]
         )
+        src = str(package.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.split() == ["[]", "[]"]
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                assert not any(m.startswith("scipy") for m in modules), f"{path.name}: {modules}"
 
 
 BROKEN_ENTRIES = [

@@ -294,10 +294,15 @@ class TestMixedVolumes3d:
         assert volume_sum_3d_mixed(sc, build_quadrature(3, 64)) == pytest.approx(ref, rel=1e-8)
 
     def test_odd_resolution(self):
-        # the equator row of an odd rule keeps its own weight
+        # an odd rule has no antipodal pairs, so the triple terms run on all of it
         sc = random_scene(np.random.default_rng(89), 3, 3)
         ref = volume_sum_3d_mixed(sc, build_quadrature(3, 128))
         assert volume_sum_3d_mixed(sc, build_quadrature(3, 63)) == pytest.approx(ref, rel=1e-8)
+
+    def test_rule_of_another_dimension(self):
+        sc = random_scene(np.random.default_rng(89), 3, 3)
+        with pytest.raises(ValueError, match="quadrature dimension 2"):
+            mixed_volumes_3d(sc, build_quadrature(2, 64))
 
     def test_exact_cases(self):
         # balls, one ellipsoid and homothetic terms have constant integrands;
