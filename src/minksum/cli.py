@@ -118,7 +118,9 @@ def boundary(scene_path, samples, out):
         res = 4
         while res ** (scene.dim - 1) < samples:
             res += 1
-        normals = quadrature.build_quadrature(scene.dim, res).nodes[:samples]
+        # rows spread over the whole rule, whose u_N ascend row by row
+        nodes = quadrature.build_quadrature(scene.dim, res).nodes
+        normals = nodes[np.rint(np.linspace(0, len(nodes) - 1, samples)).astype(int)]
 
     points = geometry.boundary_points(scene, normals)
     kappas = curvature.curvatures_from_reduced(curvature.reduced_stack(scene, normals))

@@ -20,9 +20,9 @@ L(sigma_1, sigma_2): L is the perimeter of the ellipse with semi-axes
 sigma, the nonzero singular values of [a]x Q for a = A_k^-1 A_i u and
 Q = A_k^-1 A_j.  The integrand is smooth and even in u.  The Steiner
 sandwich of `volume_sum_3d_bounds` brackets the surface-area part of each
-recursion step between the areas of the inner and outer bounding
-ellipsoids of the rescaled partial sum (projection-average monotonicity);
-an ellipsoid's area is closed, 4 pi det A R_G(lambda^-2) (DLMF 19.33.1).
+recursion step between the areas of linear images of the partial sum's
+inner and outer ellipsoids (area is monotone under inclusion); an
+ellipsoid's area is closed, 4 pi |det M| R_G(sigma^-2) (DLMF 19.33.1).
 
 Every ellipse perimeter, E(x) included, comes from one arithmetic-geometric
 mean on whole arrays (`_perimeters`), and R_G from Carlson's duplication
@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds, quadrature
-from .geometry import EllipsoidSum, transform_scene
+from .geometry import EllipsoidSum
 from .spd import SpdMatrix
 
 # The AGM stops once c_n <= AGM_RTOL * a_n, or after AGM_MAX_STEPS steps.
@@ -180,13 +179,13 @@ def _carlson_rg(x: float, y: float, z: float) -> float:
     return 0.5 * (z * rf - (x - z) * (y - z) * rd / 3.0 + math.sqrt(x * y / z))
 
 
-def _ellipsoid_area(a: SpdMatrix) -> float:
-    """Surface area of the 3D ellipsoid A B: 4 pi det A R_G(lambda^-2) (DLMF 19.33.1).
+def _ellipsoid_area(a) -> float:
+    """Surface area of the 3D ellipsoid M B: 4 pi |det M| R_G(sigma^-2) (DLMF 19.33.1).
 
-    lambda are the semi-axes, the eigenvalues of A.
+    M is any nonsingular 3x3 array; the semi-axes sigma are its singular values.
     """
-    lam = np.linalg.eigvalsh(a.entries)
-    return 4.0 * math.pi * float(np.prod(lam)) * _carlson_rg(*(1.0 / (lam * lam)).tolist())
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return 4.0 * math.pi * float(np.prod(sigma)) * _carlson_rg(*(1.0 / (sigma * sigma)).tolist())
 
 
 def _cross_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -288,13 +287,14 @@ def volume_sum_3d_bounds(scene: EllipsoidSum, quad) -> SteinerReport:
     """Volume of an m-fold 3D sum: mixed volumes, with Steiner's ellipsoid sandwich.
 
     Step k adds det A_k (area + mean-curvature integral) + V_B det A_k of
-    the partial sum S_k rescaled by A_k^-1.  In mixed volumes, det A_k
-    area = 3 sum_{i,j<k} V(E_i, E_j, E_k) and det A_k mean =
+    A_k^-1 S_k, S_k the sum of the first k terms.  In mixed volumes,
+    det A_k area = 3 sum_{i,j<k} V(E_i, E_j, E_k) and det A_k mean =
     3 sum_{i<k} V(E_i, E_k, E_k), so `exact_value` is the mixed volume.
-    The bounds replace the area by the areas of the inner John and
-    direction-optimal outer ellipsoids of the rescaled partial sum, which
-    are closed forms (`_ellipsoid_area`); `quad` serves only the triple
-    terms.
+    The bounds replace the area by the areas of A_k^-1 J_k and A_k^-1 O_k,
+    J_k the inner John and O_k the direction-optimal outer ellipsoid of
+    S_k: images of inner (outer) ellipsoids of S_k are inner (outer)
+    ellipsoids of A_k^-1 S_k.  Those areas are closed forms
+    (`_ellipsoid_area`); `quad` serves only the triple terms.
     """
     if scene.dim != 3:
         raise ValueError("volume_sum_3d_bounds requires a 3D scene")
@@ -311,16 +311,12 @@ def volume_sum_3d_bounds(scene: EllipsoidSum, quad) -> SteinerReport:
     for k in range(2, scene.m):
         ak = scene.stack[k]
         det_k = float(np.linalg.det(ak))
-        with warnings.catch_warnings():
-            # the rescaled terms A_i A_k^-1 can pass COND_WARN where no term
-            # of the scene does; the warning is for scenes a caller builds
-            warnings.filterwarnings("ignore", "ellipsoid .* condition number", UserWarning)
-            scaled = transform_scene(EllipsoidSum(scene.terms[:k]), np.linalg.inv(ak))
+        partial = EllipsoidSum(scene.terms[:k])
 
         area_exact = 3.0 * float(np.sum(terms[:k, :k, k])) / det_k
         mean = 3.0 * float(np.sum(terms[:k, k, k])) / det_k
-        area_lo = _ellipsoid_area(bounds.best_inner_john(scaled))
-        area_hi = _ellipsoid_area(bounds.minvol_outer(scaled))
+        area_lo = _ellipsoid_area(np.linalg.solve(ak, bounds.best_inner_john(partial).entries))
+        area_hi = _ellipsoid_area(np.linalg.solve(ak, bounds.minvol_outer(partial).entries))
 
         exact = float(np.sum(terms[: k + 1, : k + 1, : k + 1]))
         lower += det_k * (area_lo + mean) + vb * det_k

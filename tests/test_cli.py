@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import minksum
 from conftest import conditioned_scene, conditioned_spd, random_spd
 from minksum.cli import main
+from minksum.quadrature import build_quadrature
 from minksum.steiner import area_sum_2d_pair
 from minksum.spd import SpdMatrix
 
@@ -115,6 +116,20 @@ class TestBoundaryCommand:
         normals = rows[:, :4]
         assert np.all(normals.max(axis=0) > 0) and np.all(normals.min(axis=0) < 0)
 
+    @pytest.mark.parametrize("dim, samples, resolution", [(3, 200, 15), (4, 360, 8)])
+    def test_normals_reach_top_and_bottom_of_rule(self, runner, tmp_path, dim, samples, resolution):
+        # the rule's rows ascend in u_N; the printed rows span all of them
+        path = write_scene(tmp_path, {"dimension": dim, "ellipsoids": [{"matrix": np.eye(dim).tolist()}]})
+        res = runner.invoke(main, ["boundary", path, "--samples", str(samples)])
+        assert res.exit_code == 0
+        rows = np.array(
+            [[float(v) for v in line.split(",")] for line in res.output.strip().split("\n")[1:]]
+        )
+        last = build_quadrature(dim, resolution).nodes[:, -1]
+        assert len(np.unique(rows[:, :dim], axis=0)) == samples
+        assert rows[:, dim - 1].max() == last.max()
+        assert rows[:, dim - 1].min() == last.min()
+
 
 class TestVolumeCommand:
     def test_divergence_single(self, runner, tmp_path):
@@ -149,7 +164,7 @@ class TestVolumeCommand:
             assert value == pytest.approx(math.pi * np.linalg.det(a), rel=1e-15)
 
     def test_steiner_3d_quiet_on_well_conditioned_terms(self, tmp_path):
-        # no warning about the internal rescaled partial sums on stderr
+        # no warning on stderr when every term is below COND_WARN
         rng = np.random.default_rng(3)
         mats = [conditioned_spd(rng, 2e4).tolist() for _ in range(4)]
         path = write_scene(tmp_path, {"dimension": 3, "ellipsoids": [{"matrix": m} for m in mats]})
@@ -161,6 +176,17 @@ class TestVolumeCommand:
         )
         assert out.returncode == 0
         assert out.stderr == ""
+
+    def test_steiner_3d_past_the_parser_limit(self, runner, tmp_path):
+        # three terms of condition 1e6, whose products A_i A_k^-1 reach
+        # condition 1e12: the sandwich never validates such a product
+        rng = np.random.default_rng(0)
+        mats = [conditioned_spd(rng, 1e6).tolist() for _ in range(3)]
+        path = write_scene(tmp_path, {"dimension": 3, "ellipsoids": [{"matrix": m} for m in mats]})
+        res = runner.invoke(main, ["volume", path, "--method", "steiner"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.output)
+        assert payload["lower"] <= payload["value"] <= payload["upper"]
 
     def test_steiner_3d_triple_bounds(self, runner, tmp_path):
         scene = {

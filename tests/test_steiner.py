@@ -21,6 +21,7 @@ from minksum.geometry import EllipsoidSum, transform_scene
 from minksum.quadrature import build_quadrature, unit_ball_volume, volume_divergence
 from minksum.steiner import (
     _carlson_rg,
+    _ellipsoid_area,
     _triple_terms,
     area_sum_2d_pair,
     area_sum_2d_recursive,
@@ -225,33 +226,65 @@ class TestVolumeBounds3d:
         assert last["area_lower"] <= last["area_exact"] * (1 + 1e-9)
         assert last["area_exact"] <= last["area_upper"] * (1 + 1e-9)
 
+    @staticmethod
+    def _assert_sandwich(rep):
+        assert rep.lower <= rep.exact_value * (1 + 1e-9)
+        assert rep.exact_value <= rep.upper * (1 + 1e-9)
+        for step in rep.components[1:]:
+            assert step["area_lower"] <= step["area_exact"] * (1 + 1e-9)
+            assert step["area_exact"] <= step["area_upper"] * (1 + 1e-9)
+
     def test_sandwich_brackets_exact_value(self):
         # the areas of the inner and outer ellipsoids bracket the area of
-        # the rescaled partial sum at every step, with terms up to 1e3
+        # A_k^-1 S_k at every step, with terms up to 1e3
         quad = build_quadrature(3, 64)
         for seed in range(40):
             for log_kappa in (2.0, 3.0):
-                rep = volume_sum_3d_bounds(conditioned_scene(seed, 3 + seed % 3, log_kappa), quad)
-                assert rep.lower <= rep.exact_value * (1 + 1e-9)
-                assert rep.exact_value <= rep.upper * (1 + 1e-9)
-                for step in rep.components[1:]:
-                    assert step["area_lower"] <= step["area_exact"] * (1 + 1e-9)
-                    assert step["area_exact"] <= step["area_upper"] * (1 + 1e-9)
+                self._assert_sandwich(
+                    volume_sum_3d_bounds(conditioned_scene(seed, 3 + seed % 3, log_kappa), quad)
+                )
 
-    def test_rescaled_partial_sums_do_not_warn(self):
-        # every term has condition 2e4, far below COND_WARN, but the
-        # rescaled terms A_i A_k^-1 of the partial sums pass it
-        rng = np.random.default_rng(3)
-        sc = EllipsoidSum.from_matrices([conditioned_spd(rng, 2e4) for _ in range(4)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            rep = volume_sum_3d_bounds(sc, build_quadrature(3, 16))
-        assert rep.lower <= rep.exact_value <= rep.upper
+    def test_partial_sums_past_the_parser_limit(self):
+        # three terms of condition 10^5.5 or 1e6: the products A_i A_k^-1
+        # reach condition 1e12, past what the scene parser accepts, yet the
+        # sandwich takes only images of each partial sum's own ellipsoids,
+        # so it neither raises nor warns
+        quad = build_quadrature(3, 64)
+        for kappa in (10.0**5.5, 1e6):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)
+                    sc = EllipsoidSum.from_matrices([conditioned_spd(rng, kappa) for _ in range(3)])
+                    self._assert_sandwich(volume_sum_3d_bounds(sc, quad))
+
+    @pytest.mark.filterwarnings("ignore:ellipsoid .* condition number:UserWarning")
+    def test_sandwich_up_to_the_parser_limit(self):
+        # m = 3-6 terms, each of condition 10^u with u uniform on [0, 9.9]
+        quad = build_quadrature(3, 32)
+        for seed in range(40):
+            sc = conditioned_scene(seed, 3 + seed % 4, 9.9)
+            self._assert_sandwich(volume_sum_3d_bounds(sc, quad))
 
     def test_requires_three_terms(self):
         quad = build_quadrature(3, 16)
         with pytest.raises(ValueError):
             volume_sum_3d_bounds(EllipsoidSum.from_matrices([np.eye(3)] * 2), quad)
+
+
+class TestEllipsoidArea:
+    @pytest.mark.parametrize("log_kappa, rtol", [(4.0, 1e-13), (9.9, 1e-10)])
+    def test_general_matrices(self, log_kappa, rtol):
+        # M = R A has the semi-axes of A, its eigenvalues lambda, and the
+        # area 4 pi det A R_G(lambda^-2) (DLMF 19.33.1)
+        rng = np.random.default_rng(90)
+        for _ in range(300):
+            a = conditioned_spd(rng, 10.0 ** rng.uniform(0.0, log_kappa))
+            lam = np.linalg.eigvalsh(a)
+            ref = 4.0 * math.pi * np.prod(lam) * elliprg(*(1.0 / (lam * lam)))
+            area = _ellipsoid_area(a)
+            assert area == pytest.approx(ref, rel=rtol)
+            assert _ellipsoid_area(random_rotation(rng, 3) @ a) == pytest.approx(area, rel=rtol)
 
 
 class TestCarlsonRG:
