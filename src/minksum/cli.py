@@ -123,7 +123,7 @@ def boundary(scene_path, samples, out):
         normals = nodes[np.rint(np.linspace(0, len(nodes) - 1, samples)).astype(int)]
 
     points = geometry.boundary_points(scene, normals)
-    kappas = curvature.curvatures_from_reduced(curvature.reduced_stack(scene, normals))
+    kappas = curvature.principal_curvature_stack(scene, normals)
 
     dim = scene.dim
     header = (

@@ -7,10 +7,14 @@ eigenvalues.  Reducing C to the tangent hyperplane with an orthonormal
 basis M gives the (N-1)x(N-1) SPD matrix C~ = M^T C M whose determinant is
 the Gauss-map area factor used for surface integrals.
 
-The principal curvatures need C~ itself (`reduced_stack`).  The area
-factor does not: `area_factors` takes det C~ = det(C + tau n n^T) / tau
-from the LDL^T pivots of C's distinct entries, held component-major as
-rows over the nodes, with no tangent basis and no (K, N, N) array.
+The principal curvatures need C~ itself (`reduced_stack`) only for
+N >= 4.  The area factor never does: `area_factors` takes det C~ =
+det(C + tau n n^T) / tau from the LDL^T pivots of C's distinct entries,
+held component-major as rows over the nodes (`_entries`), with no tangent
+basis and no (K, N, N) array.  For N <= 3, `closed_form_curvatures` takes
+the principal curvatures from the same rows: 1 / det C~ in 2D, and in 3D
+the larger eigenvalue of C~ from tr C and C's tangential deviator, the
+smaller from det C~.  `principal_curvature_stack` picks the path by N.
 
 Production paths work directly with n; spherical-angle charts appear only
 in `fundamental_forms`, which exists to connect C~ to the classical
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EllipsoidSum
+from .geometry import EllipsoidSum, term_norms
 from .spd import _ldl
 
 # Chart points must keep polar angles this far from the poles.
@@ -135,6 +139,44 @@ def reduced_stack(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
     return _reduce(curvature_stack(scene, ns), tangent_basis_stack(ns))
 
 
+def _upper(dim: int) -> list[tuple[int, int]]:
+    """The index pairs (p, q), p <= q, of an N x N upper triangle, in np.triu_indices order."""
+    return [(p, q) for p in range(dim) for q in range(p, dim)]
+
+
+def _entries(scene: EllipsoidSum, n: np.ndarray, r: np.ndarray):
+    """C's N(N+1)/2 distinct entries, in np.triu_indices order, as rows over
+    the columns of an (N, K) array of unit normals, and tau (`area_factors`).
+
+    `r` is the (m, K) array of |A_i n| (`geometry.term_norms`).  Entry
+    (p, q) is sum_i (A_i^2 - u_i u_i^T)_pq / |A_i n| with u_i = A_i^2 n /
+    |A_i n|, so scaling every A_i by a power of two scales it exactly.
+    """
+    upper = _upper(len(n))
+    rows, cols = zip(*upper)
+    inv_r = 1.0 / r
+    c = scene.squares[:, rows, cols].T @ inv_r
+    tau = np.trace(scene.squares, axis1=1, axis2=2) @ inv_r
+    tmp = np.empty_like(tau)
+    for a2, r_i in zip(scene.squares, r):
+        u = a2 @ n
+        u /= r_i
+        v = u / r_i
+        for row, (p, q) in zip(c, upper):
+            row -= np.multiply(u[p], v[q], out=tmp)
+    return c, tau
+
+
+def _shifted_det(c: np.ndarray, tau: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """det C~ = det(C + tau n n^T) / tau from the `spd._ldl` pivots of the
+    rows of `_entries`, which it overwrites with those of C + tau n n^T."""
+    t = n * tau
+    tmp = np.empty_like(tau)
+    for row, (p, q) in zip(c, _upper(len(n))):
+        row += np.multiply(t[p], n[q], out=tmp)
+    return np.prod(_ldl(c, len(n))[1], axis=0) / tau
+
+
 def area_factors(scene: EllipsoidSum, n: np.ndarray, r: np.ndarray) -> np.ndarray:
     """det C~ at the columns of an (N, K) array of unit normals; shape (K,).
 
@@ -144,31 +186,41 @@ def area_factors(scene: EllipsoidSum, n: np.ndarray, r: np.ndarray) -> np.ndarra
     N >= 3, C(n) n = 0 gives det C~ = det(C + tau n n^T) / tau for any
     tau > 0.  Here tau = sum_i tr(A_i^2) / |A_i n|, the trace of C's
     positive part, so it has C's scale and C + tau n n^T is SPD; its
-    determinant is the product of the `spd._ldl` pivots.  C's N(N+1)/2
-    distinct entries are rows over the nodes, sum_i (A_i^2 - u_i u_i^T) /
-    |A_i n| with u_i = A_i^2 n / |A_i n|, so scaling every A_i by a power
-    of two scales the result exactly.
+    determinant is the product of the `spd._ldl` pivots of C's distinct
+    entries (`_entries`), with no tangent basis and no (K, N, N) array.
     """
-    dim = len(n)
-    if dim == 2:
+    if len(n) == 2:
         a = scene.stack
         det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
         return np.sum(np.square(det)[:, None] / (r * r * r), axis=0)
-    upper = np.triu_indices(dim)
-    inv_r = 1.0 / r
-    c = scene.squares[:, upper[0], upper[1]].T @ inv_r
-    tau = np.trace(scene.squares, axis1=1, axis2=2) @ inv_r
-    tmp = np.empty_like(tau)
-    for a2, r_i in zip(scene.squares, r):
-        u = a2 @ n
-        u /= r_i
-        v = u / r_i
-        for row, p, q in zip(c, *upper):
-            row -= np.multiply(u[p], v[q], out=tmp)
-    t = n * tau
-    for row, p, q in zip(c, *upper):
-        row += np.multiply(t[p], n[q], out=tmp)
-    return np.prod(_ldl(c, dim)[1], axis=0) / tau
+    return _shifted_det(*_entries(scene, n, r), n)
+
+
+def closed_form_curvatures(scene: EllipsoidSum, n: np.ndarray, r: np.ndarray):
+    """Principal curvatures (ascending), an (N-1, K) array, and det C~, (K,),
+    at the columns of an (N, K) array of unit normals, for N in {2, 3}.
+
+    `r` is as in `area_factors`.  In 2D, kappa = 1 / det C~.  In 3D the
+    eigenvalues of C~ are lambda_1 >= lambda_2 with lambda_1 = (tr C +
+    sqrt(2 |D|_F^2)) / 2, D = C - (tr C / 2)(I - n n^T) being C's
+    tangential deviator, |D|_F^2 = (lambda_1 - lambda_2)^2 / 2, which is
+    summed from D's entries and so cancels nothing at umbilics; lambda_2
+    is det C~ / lambda_1, as LAPACK's dlae2 takes it.
+    """
+    if len(n) == 2:
+        det = area_factors(scene, n, r)
+        return 1.0 / det[None], det
+    c, tau = _entries(scene, n, r)
+    half = 0.5 * (c[0] + c[3] + c[5])
+    hn = half * n
+    d2 = [np.square(hn[p] * n[q] + row - half * (p == q)) for row, (p, q) in zip(c, _upper(3))]
+    root = np.sqrt(0.5 * (d2[0] + d2[3] + d2[5]) + (d2[1] + d2[2] + d2[4]))
+    lam = half + root
+    det = _shifted_det(c, tau, n)
+    # an exact zero pivot, which only lambda_2 below rounding gives, leaves
+    # det C~ = 0: take lambda_2 = tr C - lambda_1 there, as finite as eigvalsh
+    k1, k2 = 1.0 / lam, lam / np.where(det == 0.0, lam * (half - root), det)
+    return np.stack([np.minimum(k1, k2), np.maximum(k1, k2)]), det
 
 
 def curvatures_from_reduced(red: np.ndarray) -> np.ndarray:
@@ -180,10 +232,22 @@ def curvatures_from_reduced(red: np.ndarray) -> np.ndarray:
     return np.sort(1.0 / np.linalg.eigvalsh(red), axis=-1)
 
 
+def principal_curvature_stack(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
+    """Principal curvatures (ascending) at rows of unit normals; shape (K, N-1).
+
+    N <= 3 takes them in closed form (`closed_form_curvatures`), N >= 4
+    from the eigenvalues of each C~ of `reduced_stack`.
+    """
+    ns = np.atleast_2d(np.asarray(normals, dtype=float))
+    if scene.dim > 3:
+        return curvatures_from_reduced(reduced_stack(scene, ns))
+    n = np.ascontiguousarray(ns.T)
+    return closed_form_curvatures(scene, n, term_norms(scene.stack, n))[0].T
+
+
 def principal_curvatures(scene: EllipsoidSum, n) -> np.ndarray:
     """Principal curvatures (ascending) at the boundary point with normal n."""
-    n = np.asarray(n, dtype=float)
-    return curvatures_from_reduced(reduced_stack(scene, n[None, :]))[0]
+    return principal_curvature_stack(scene, np.asarray(n, dtype=float)[None, :])[0]
 
 
 def _chart_normal_and_jacobian(phi: np.ndarray, dim: int):

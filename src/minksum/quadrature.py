@@ -176,39 +176,40 @@ def surface_area(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
 
 
 def mean_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
-    """Integral of mean curvature over the boundary (N = 3 only).
+    """Integral of mean curvature over the boundary (N = 3 only), in closed form.
 
-    Equals (1/2) integral of tr C(n) dsigma; the area factor cancels, so
-    the integrand is tr C directly.  Additive over scene terms.
+    It equals the integral of h over the sphere of normals, and h is
+    additive over the terms, so it is sum_i 4 pi R_G(sigma_i^2), sigma_i
+    the semi-axes of A_i: R_G is the mean of |A_i u| over the sphere (DLMF
+    19.23).  `quad` is checked for its dimension only.
     """
     if scene.dim != 3:
         raise ValueError("mean_curvature_integral requires a 3D scene")
     _check_dim(scene, quad)
+    from .steiner import _carlson_rg  # steiner imports this module
 
-    def integrand(u, w):
-        return w * np.trace(curvature.curvature_stack(scene, u), axis1=1, axis2=2)
-
-    return float(0.5 * np.sum(_blockwise(integrand, quad)))
+    axes = np.linalg.eigvalsh(scene.stack)
+    return 4.0 * math.pi * math.fsum(_carlson_rg(*row) for row in (axes * axes).tolist())
 
 
 def gaussian_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     """Total Gaussian curvature of the boundary; 2 pi (N=2) or 4 pi (N=3).
 
-    Computed as the surface integral of the product of principal
-    curvatures.  That product times det C~ is identically 1, so the result
-    is the sum of the weights up to rounding: it does not probe the
-    quadrature's accuracy on the scene.
+    The surface integral of the product of the principal curvatures, both
+    taken with det C~ in closed form (`curvature.closed_form_curvatures`,
+    which serves N <= 3; N >= 4 has no such integral here).  That product
+    times det C~ is identically 1, so the result is the sum of the weights
+    up to rounding: it does not probe the quadrature's accuracy on the scene.
     """
     if scene.dim not in (2, 3):
         raise ValueError("gaussian_curvature_integral supports N in {2, 3}")
     _check_dim(scene, quad)
 
     def integrand(u, w):
-        red = curvature.reduced_stack(scene, u)
-        # np.linalg.det of a 1 x 1 stack can miss its entry by one ulp
-        dets = red[:, 0, 0] if scene.dim == 2 else np.linalg.det(red)
+        n = np.ascontiguousarray(u.T)
+        kappa, det = curvature.closed_form_curvatures(scene, n, geometry.term_norms(scene.stack, n))
         # at most two factors, whose product does not depend on their order
-        return w * np.prod(curvature.curvatures_from_reduced(red), axis=1) * dets
+        return w * np.prod(kappa, axis=0) * det
 
     return float(np.sum(_blockwise(integrand, quad)))
 

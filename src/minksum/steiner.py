@@ -311,7 +311,7 @@ def volume_sum_3d_bounds(scene: EllipsoidSum, quad) -> SteinerReport:
     for k in range(2, scene.m):
         ak = scene.stack[k]
         det_k = float(np.linalg.det(ak))
-        partial = EllipsoidSum(scene.terms[:k])
+        partial = scene.part(slice(k))
 
         area_exact = 3.0 * float(np.sum(terms[:k, :k, k])) / det_k
         mean = 3.0 * float(np.sum(terms[:k, k, k])) / det_k

@@ -49,9 +49,8 @@ def render_scene_svg(scene: EllipsoidSum, show=("sum", "inner", "john")) -> str:
 
     ns = quadrature.build_quadrature(2, CURVE_POINTS).nodes
     curves: list[tuple[np.ndarray, str]] = []
-    for term in scene.terms:
-        single = EllipsoidSum((term,))
-        curves.append((geometry.boundary_points(single, ns), COLORS["term"]))
+    for i in range(scene.m):
+        curves.append((geometry.boundary_points(scene.part(slice(i, i + 1)), ns), COLORS["term"]))
     if "sum" in show:
         curves.append((geometry.boundary_points(scene, ns), COLORS["sum"]))
     fits = {
