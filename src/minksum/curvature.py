@@ -7,14 +7,10 @@ eigenvalues.  Reducing C to the tangent hyperplane with an orthonormal
 basis M gives the (N-1)x(N-1) SPD matrix C~ = M^T C M whose determinant is
 the Gauss-map area factor used for surface integrals.
 
-The principal curvatures need C~ itself (`reduced_stack`) only for
-N >= 4.  The area factor never does: `area_factors` takes det C~ =
-det(C + tau n n^T) / tau from the LDL^T pivots of C's distinct entries,
-held component-major as rows over the nodes (`_entries`), with no tangent
-basis and no (K, N, N) array.  For N <= 3, `closed_form_curvatures` takes
-the principal curvatures from the same rows: 1 / det C~ in 2D, and in 3D
-the larger eigenvalue of C~ from tr C and C's tangential deviator, the
-smaller from det C~.  `principal_curvature_stack` picks the path by N.
+The principal curvatures need C~ itself (`reduced_stack`) for N >= 4
+only.  For N <= 3 `closed_form_curvatures` takes them, and `area_factors`
+det C~ = det(C + tau n n^T) / tau, from C's distinct entries held as rows
+over the nodes, with no tangent basis and no (K, N, N) array.
 
 Production paths work directly with n; spherical-angle charts appear only
 in `fundamental_forms`, which exists to connect C~ to the classical
@@ -139,41 +135,29 @@ def reduced_stack(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
     return _reduce(curvature_stack(scene, ns), tangent_basis_stack(ns))
 
 
-def _upper(dim: int) -> list[tuple[int, int]]:
-    """The index pairs (p, q), p <= q, of an N x N upper triangle, in np.triu_indices order."""
-    return [(p, q) for p in range(dim) for q in range(p, dim)]
-
-
 def _entries(scene: EllipsoidSum, n: np.ndarray, r: np.ndarray):
-    """C's N(N+1)/2 distinct entries, in np.triu_indices order, as rows over
-    the columns of an (N, K) array of unit normals, and tau (`area_factors`).
-
-    `r` is the (m, K) array of |A_i n| (`geometry.term_norms`).  Entry
-    (p, q) is sum_i (A_i^2 - u_i u_i^T)_pq / |A_i n| with u_i = A_i^2 n /
-    |A_i n|, so scaling every A_i by a power of two scales it exactly.
-    """
-    upper = _upper(len(n))
+    """C's entries sum_i (A_i^2 - u_i u_i^T)_pq / |A_i n|, u_i = A_i^2 n / |A_i n|,
+    as rows over the columns of an (N, K) array of unit normals, for p <= q
+    (exact under power-of-two scaling); tau (`area_factors`); and the (p, q)."""
+    upper = [(p, q) for p in range(len(n)) for q in range(p, len(n))]
     rows, cols = zip(*upper)
     inv_r = 1.0 / r
     c = scene.squares[:, rows, cols].T @ inv_r
     tau = np.trace(scene.squares, axis1=1, axis2=2) @ inv_r
-    tmp = np.empty_like(tau)
     for a2, r_i in zip(scene.squares, r):
         u = a2 @ n
         u /= r_i
         v = u / r_i
         for row, (p, q) in zip(c, upper):
-            row -= np.multiply(u[p], v[q], out=tmp)
-    return c, tau
+            row -= u[p] * v[q]
+    return c, tau, upper
 
 
-def _shifted_det(c: np.ndarray, tau: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """det C~ = det(C + tau n n^T) / tau from the `spd._ldl` pivots of the
-    rows of `_entries`, which it overwrites with those of C + tau n n^T."""
+def _shifted_det(c, tau, upper, n) -> np.ndarray:
+    """det(C + tau n n^T) / tau from `spd._ldl` pivots; overwrites `_entries`' c."""
     t = n * tau
-    tmp = np.empty_like(tau)
-    for row, (p, q) in zip(c, _upper(len(n))):
-        row += np.multiply(t[p], n[q], out=tmp)
+    for row, (p, q) in zip(c, upper):
+        row += t[p] * n[q]
     return np.prod(_ldl(c, len(n))[1], axis=0) / tau
 
 
@@ -184,10 +168,8 @@ def area_factors(scene: EllipsoidSum, n: np.ndarray, r: np.ndarray) -> np.ndarra
     C~ is the 1 x 1 sum_i det(A_i)^2 / |A_i n|^3, with det A_i from its
     entries (np.linalg.det does not scale exactly by powers of two).  For
     N >= 3, C(n) n = 0 gives det C~ = det(C + tau n n^T) / tau for any
-    tau > 0.  Here tau = sum_i tr(A_i^2) / |A_i n|, the trace of C's
-    positive part, so it has C's scale and C + tau n n^T is SPD; its
-    determinant is the product of the `spd._ldl` pivots of C's distinct
-    entries (`_entries`), with no tangent basis and no (K, N, N) array.
+    tau > 0; tau = sum_i tr(A_i^2) / |A_i n|, the trace of C's positive
+    part, has C's scale and makes C + tau n n^T SPD (`_shifted_det`).
     """
     if len(n) == 2:
         a = scene.stack
@@ -197,28 +179,22 @@ def area_factors(scene: EllipsoidSum, n: np.ndarray, r: np.ndarray) -> np.ndarra
 
 
 def closed_form_curvatures(scene: EllipsoidSum, n: np.ndarray, r: np.ndarray):
-    """Principal curvatures (ascending), an (N-1, K) array, and det C~, (K,),
-    at the columns of an (N, K) array of unit normals, for N in {2, 3}.
-
-    `r` is as in `area_factors`.  In 2D, kappa = 1 / det C~.  In 3D the
-    eigenvalues of C~ are lambda_1 >= lambda_2 with lambda_1 = (tr C +
-    sqrt(2 |D|_F^2)) / 2, D = C - (tr C / 2)(I - n n^T) being C's
-    tangential deviator, |D|_F^2 = (lambda_1 - lambda_2)^2 / 2, which is
-    summed from D's entries and so cancels nothing at umbilics; lambda_2
-    is det C~ / lambda_1, as LAPACK's dlae2 takes it.
+    """Principal curvatures (ascending), (N-1, K), and det C~, (K,), for N <= 3,
+    at the columns of an (N, K) array of unit normals; `r` as in `area_factors`.
+    In 2D kappa = 1 / det C~.  In 3D lambda_1 = tr C / 2 + sqrt(|D|_F^2 / 2)
+    from C's tangential deviator D = C - (tr C / 2)(I - n n^T), which does
+    not cancel at umbilics, and lambda_2 = det C~ / lambda_1 (LAPACK dlae2).
     """
     if len(n) == 2:
         det = area_factors(scene, n, r)
         return 1.0 / det[None], det
-    c, tau = _entries(scene, n, r)
+    c, tau, upper = _entries(scene, n, r)
     half = 0.5 * (c[0] + c[3] + c[5])
-    hn = half * n
-    d2 = [np.square(hn[p] * n[q] + row - half * (p == q)) for row, (p, q) in zip(c, _upper(3))]
+    d2 = [np.square(half * n[p] * n[q] + row - half * (p == q)) for row, (p, q) in zip(c, upper)]
     root = np.sqrt(0.5 * (d2[0] + d2[3] + d2[5]) + (d2[1] + d2[2] + d2[4]))
     lam = half + root
-    det = _shifted_det(c, tau, n)
-    # an exact zero pivot, which only lambda_2 below rounding gives, leaves
-    # det C~ = 0: take lambda_2 = tr C - lambda_1 there, as finite as eigvalsh
+    det = _shifted_det(c, tau, upper, n)
+    # det C~ = 0 means an exact zero pivot: lambda_2 = tr C - lambda_1 is finite
     k1, k2 = 1.0 / lam, lam / np.where(det == 0.0, lam * (half - root), det)
     return np.stack([np.minimum(k1, k2), np.maximum(k1, k2)]), det
 
@@ -233,11 +209,8 @@ def curvatures_from_reduced(red: np.ndarray) -> np.ndarray:
 
 
 def principal_curvature_stack(scene: EllipsoidSum, normals: np.ndarray) -> np.ndarray:
-    """Principal curvatures (ascending) at rows of unit normals; shape (K, N-1).
-
-    N <= 3 takes them in closed form (`closed_form_curvatures`), N >= 4
-    from the eigenvalues of each C~ of `reduced_stack`.
-    """
+    """Principal curvatures (ascending) at rows of unit normals, (K, N-1): in
+    closed form for N <= 3, from each `reduced_stack` C~ for N >= 4."""
     ns = np.atleast_2d(np.asarray(normals, dtype=float))
     if scene.dim > 3:
         return curvatures_from_reduced(reduced_stack(scene, ns))

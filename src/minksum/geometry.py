@@ -61,21 +61,15 @@ class EllipsoidSum:
         squares = stack @ stack
         stack.setflags(write=False)
         squares.setflags(write=False)
-        self._fill(terms, stack, squares)
-
-    def _fill(self, terms, stack, squares):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "squares", squares)
 
     def part(self, index: slice) -> "EllipsoidSum":
-        """The sum of the terms `terms[index]`, on views of this scene's arrays.
-
-        A scene warns about each ill-conditioned term once, when it is
-        built; a part repeats neither that check nor the squares A_i^2.
-        """
+        """The sum of `terms[index]`, on views of this scene's arrays; it does not warn again."""
         part = object.__new__(EllipsoidSum)
-        part._fill(self.terms[index], self.stack[index], self.squares[index])
+        for name in ("terms", "stack", "squares"):
+            object.__setattr__(part, name, getattr(self, name)[index])
         return part
 
     @classmethod

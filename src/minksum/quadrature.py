@@ -178,10 +178,8 @@ def surface_area(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
 def mean_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     """Integral of mean curvature over the boundary (N = 3 only), in closed form.
 
-    It equals the integral of h over the sphere of normals, and h is
-    additive over the terms, so it is sum_i 4 pi R_G(sigma_i^2), sigma_i
-    the semi-axes of A_i: R_G is the mean of |A_i u| over the sphere (DLMF
-    19.23).  `quad` is checked for its dimension only.
+    The integral of h = sum_i |A_i n| over the sphere: sum_i 4 pi R_G(sigma_i^2),
+    sigma_i the semi-axes of A_i (DLMF 19.23).  `quad` sets the dimension only.
     """
     if scene.dim != 3:
         raise ValueError("mean_curvature_integral requires a 3D scene")
@@ -195,11 +193,10 @@ def mean_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> floa
 def gaussian_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     """Total Gaussian curvature of the boundary; 2 pi (N=2) or 4 pi (N=3).
 
-    The surface integral of the product of the principal curvatures, both
-    taken with det C~ in closed form (`curvature.closed_form_curvatures`,
-    which serves N <= 3; N >= 4 has no such integral here).  That product
-    times det C~ is identically 1, so the result is the sum of the weights
-    up to rounding: it does not probe the quadrature's accuracy on the scene.
+    The surface integral of the product of the principal curvatures, with
+    det C~, from `curvature.closed_form_curvatures` (the path for N <= 3).
+    That product times det C~ is identically 1, so the result is the sum
+    of the weights up to rounding: it does not probe the quadrature.
     """
     if scene.dim not in (2, 3):
         raise ValueError("gaussian_curvature_integral supports N in {2, 3}")
@@ -208,7 +205,6 @@ def gaussian_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> 
     def integrand(u, w):
         n = np.ascontiguousarray(u.T)
         kappa, det = curvature.closed_form_curvatures(scene, n, geometry.term_norms(scene.stack, n))
-        # at most two factors, whose product does not depend on their order
         return w * np.prod(kappa, axis=0) * det
 
     return float(np.sum(_blockwise(integrand, quad)))

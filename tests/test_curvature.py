@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,13 +12,15 @@ from minksum.curvature import (
     area_factors,
     curvature_matrix,
     curvature_term,
+    curvatures_from_reduced,
     fundamental_forms,
+    principal_curvature_stack,
     principal_curvatures,
     reduced_curvature,
     reduced_stack,
     tangent_basis,
 )
-from minksum.geometry import EllipsoidSum, boundary_points, term_norms
+from minksum.geometry import COND_WARN, EllipsoidSum, boundary_points, term_norms
 from minksum.spd import sym_eigen
 
 
@@ -338,3 +341,91 @@ class TestAreaFactors:
                 assert np.all(np.isfinite(dets))
                 if dim == 2:  # the closed form has no cancellation
                     assert np.all(dets > 0)
+
+
+def _perp(v):
+    """Orthonormal columns spanning v^perp, from the reflector that takes v/|v| to -+e_N."""
+    v = v / np.sqrt(v @ v)
+    h = v.copy()
+    h[-1] += 1.0 if v[-1] >= 0 else -1.0
+    return (np.eye(len(v), dtype=v.dtype) - 2 * np.outer(h, h) / (h @ h))[:, :-1]
+
+
+def longdouble_curvatures(scene, ns):
+    """Principal curvatures (ascending) at rows of normals, in np.longdouble and
+    with no subtraction that cancels.
+
+    Each term adds F^T F / |A n| to C~, F = Q^T A M with M spanning n^perp
+    and Q spanning (A n)^perp, since C(A, n) = A (I - w w^T) A / |A n| with
+    w = A n / |A n|.  In 3D, det C~ is the sum of the squared 2 x 2 minors
+    of the stacked F / |A n|^(1/2) (Cauchy-Binet), lambda_1 the larger
+    eigenvalue of C~ and lambda_2 = det C~ / lambda_1.
+    """
+    out = []
+    for n in ns.astype(np.longdouble):
+        m = _perp(n)
+        rows = []
+        for a in scene.stack.astype(np.longdouble):
+            an = a @ n
+            rows.append(_perp(an).T @ a @ m / np.sqrt(np.sqrt(an @ an)))
+        g = np.concatenate(rows)
+        red = g.T @ g
+        if scene.dim == 2:
+            out.append([1 / red[0, 0]])
+            continue
+        det = sum((g[i, 0] * g[j, 1] - g[i, 1] * g[j, 0]) ** 2 for i, j in itertools.combinations(range(len(g)), 2))
+        lam = (red[0, 0] + red[1, 1]) / 2 + np.hypot((red[0, 0] - red[1, 1]) / 2, red[0, 1])
+        out.append([1 / lam, lam / det])
+    return np.array(out, dtype=np.longdouble)
+
+
+def max_rel_err(kappa, ref):
+    return float(np.max(np.abs(kappa - ref) / ref))
+
+
+class TestClosedFormCurvatures:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 3),
+        st.integers(1, 4),
+        st.floats(0.0, math.log10(COND_WARN)),
+    )
+    def test_positive_ascending_and_no_less_accurate(self, seed, dim, m, log_kappa):
+        # every term has condition 10^u, u uniform on [0, log_kappa]
+        rng = np.random.default_rng(seed)
+        sc = EllipsoidSum.from_matrices(
+            [conditioned_spd(rng, 10.0 ** rng.uniform(0.0, log_kappa), dim) for _ in range(m)]
+        )
+        ns = unit_rows(rng, dim, 16)
+        kappa = principal_curvature_stack(sc, ns)
+        assert np.all(np.isfinite(kappa)) and np.all(kappa > 0)
+        assert np.all(np.diff(kappa, axis=1) >= 0)
+        if dim == 2:
+            # 1 / det C~ in closed form against the Householder reduction; in
+            # 3D both routes share the rounding of C's entries (CHANGES.md)
+            ref = longdouble_curvatures(sc, ns)
+            householder = curvatures_from_reduced(reduced_stack(sc, ns))
+            assert max_rel_err(kappa, ref) <= max_rel_err(householder, ref) + 1e-15
+
+    def test_thin_ellipse_at_the_cli_normals(self):
+        # kappa = |A n|^3 / det(A)^2; the Householder reduction missed it by
+        # up to 1.5e-4 on these 360 normals
+        a = conditioned_spd(np.random.default_rng(0), 1e6, dim=2)
+        theta = 2.0 * np.pi * np.arange(360) / 360
+        ns = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        exact = np.linalg.norm(ns @ a, axis=1) ** 3 / np.prod(np.linalg.eigvalsh(a)) ** 2
+        sc = EllipsoidSum.from_matrices([a])
+        kappa = np.array([principal_curvatures(sc, n)[0] for n in ns])
+        assert np.all(np.abs(kappa - exact) <= 1e-5 * exact)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ball_sums(self, dim):
+        # kappa = 1 / sum_i r_i, within 9 ulps: m-term sums and unit normals
+        # that are unit only to rounding reached 7 ulps over 3,600 draws
+        rng = np.random.default_rng(90 + dim)
+        for m in (1, 2, 5):
+            radii = rng.uniform(0.1, 10.0, m)
+            sc = EllipsoidSum.from_matrices([r * np.eye(dim) for r in radii])
+            kappa = principal_curvature_stack(sc, unit_rows(rng, dim, 64))
+            expected = 1.0 / np.sum(radii)
+            assert np.all(np.abs(kappa - expected) <= 2e-15 * expected)

@@ -1,12 +1,17 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_scene, random_spd, random_unit
-from minksum import quadrature
-from minksum.bounds import containment_check, inner_sum_matrix
+from conftest import conditioned_spd, random_scene, random_spd, random_unit
+from minksum import bounds, quadrature
+from minksum.bounds import best_inner_john, containment_check, inner_sum_matrix, minvol_outer
 from minksum.geometry import (
+    COND_WARN,
     EllipsoidSum,
     SceneSchemaError,
     SceneValidationError,
@@ -402,3 +407,32 @@ class TestSceneValidation:
     def test_condition_warning(self):
         with pytest.warns(UserWarning, match="condition"):
             EllipsoidSum.from_matrices([np.diag([1.0, 1e-9])])
+
+
+class TestBoundaryPointsBetweenBounds:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.integers(1, 6),
+        st.floats(0.0, math.log10(COND_WARN)),
+    )
+    def test_inside_outer_and_outside_inner(self, seed, dim, m, log_kappa):
+        # x(n) lies on the sum's boundary: |O^-1 x| <= 1 for the outer bound,
+        # |J^-1 x| >= 1 for each inner one, each norm from a solve
+        rng = np.random.default_rng(seed)
+        sc = EllipsoidSum.from_matrices(
+            [conditioned_spd(rng, 10.0 ** rng.uniform(0.0, log_kappa), dim) for _ in range(m)]
+        )
+        x = boundary_points(sc, rng.normal(size=(64, dim))).T
+        # the John bound's spot-check would build a 64^4-node rule at N = 5;
+        # its resolution does not change the bound it returns
+        check = functools.partial(containment_check, resolution=8 if dim == 5 else None)
+        with mock.patch.object(bounds, "containment_check", check):
+            john = best_inner_john(sc)
+
+        def gauge(e):
+            return np.linalg.norm(np.linalg.solve(e.entries, x), axis=0)
+
+        assert np.all(gauge(minvol_outer(sc)) <= 1.0 + 1e-9)
+        for inner in (inner_sum_matrix(sc), john):
+            assert np.all(gauge(inner) >= 1.0 - 1e-9)

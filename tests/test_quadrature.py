@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ellipe
+from scipy.special import ellipe, elliprg
 
 from conftest import conditioned_scene, conditioned_spd, random_scene
 from minksum.geometry import EllipsoidSum
@@ -275,6 +275,15 @@ class TestMeanCurvatureIntegral:
         sc = EllipsoidSum.from_matrices([np.eye(2)])
         with pytest.raises(ValueError):
             mean_curvature_integral(sc, build_quadrature(2, 8))
+
+    def test_closed_form_on_conditioned_terms(self):
+        # sum_i 4 pi R_G(lambda_i^2); the quadrature of tr C / 2 missed it by
+        # 1.9e-2 at the default resolution on three kappa = 300 terms
+        rng = np.random.default_rng(260)
+        mats = [conditioned_spd(rng, 300.0, dim=3) for _ in range(3)]
+        exact = sum(4 * math.pi * elliprg(*np.linalg.eigvalsh(a) ** 2) for a in mats)
+        val = mean_curvature_integral(EllipsoidSum.from_matrices(mats), quadrature.default_quadrature(3))
+        assert val == pytest.approx(exact, rel=1e-12)
 
 
 class TestGaussianCurvatureIntegral:

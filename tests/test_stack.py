@@ -202,6 +202,24 @@ class TestConditionWarning:
         with pytest.warns(UserWarning, match="ellipsoid 1 has condition number"):
             EllipsoidSum.from_matrices([np.eye(2), above])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_parts_the_library_builds_do_not_warn_again(self, dim):
+        # the Steiner sandwich sums the first k terms, the plot draws each
+        # term alone; the scene warned about term 1 when it was built
+        from minksum import quadrature, steiner, svgfig
+
+        rng = np.random.default_rng(200 + dim)
+        mats = [random_spd(rng, dim) for _ in range(4)]
+        mats[1] = np.diag(np.geomspace(1.0, 1.0 / (2.0 * COND_WARN), dim))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scene = EllipsoidSum.from_matrices(mats)
+            if dim == 3:
+                steiner.volume_sum_3d_bounds(scene, quadrature.build_quadrature(3, 16))
+            else:
+                svgfig.render_scene_svg(scene, show=("sum",))
+        assert [str(w.message)[:12] for w in caught] == ["ellipsoid 1 "]
+
     def test_silent_just_below_the_limit(self):
         below = np.diag([1.0, 1.0 / (0.99 * COND_WARN)])
         with warnings.catch_warnings():
