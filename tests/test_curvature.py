@@ -343,39 +343,19 @@ class TestAreaFactors:
                     assert np.all(dets > 0)
 
 
-def _perp(v):
-    """Orthonormal columns spanning v^perp, from the reflector that takes v/|v| to -+e_N."""
-    v = v / np.sqrt(v @ v)
-    h = v.copy()
-    h[-1] += 1.0 if v[-1] >= 0 else -1.0
-    return (np.eye(len(v), dtype=v.dtype) - 2 * np.outer(h, h) / (h @ h))[:, :-1]
-
-
-def longdouble_curvatures(scene, ns):
-    """Principal curvatures (ascending) at rows of normals, in np.longdouble and
-    with no subtraction that cancels.
-
-    Each term adds F^T F / |A n| to C~, F = Q^T A M with M spanning n^perp
-    and Q spanning (A n)^perp, since C(A, n) = A (I - w w^T) A / |A n| with
-    w = A n / |A n|.  In 3D, det C~ is the sum of the squared 2 x 2 minors
-    of the stacked F / |A n|^(1/2) (Cauchy-Binet), lambda_1 the larger
-    eigenvalue of C~ and lambda_2 = det C~ / lambda_1.
-    """
+def longdouble_curvatures_2d(scene, ns):
+    """2D curvatures at rows of normals, in np.longdouble and with no subtraction
+    that cancels: C(A, n) = A (I - w w^T) A / |A n| with w = A n / |A n|, so C~ =
+    sum_i (q_i^T A_i t)^2 / |A_i n|, t = (-n_2, n_1) and q_i = (-w_2, w_1)."""
     out = []
     for n in ns.astype(np.longdouble):
-        m = _perp(n)
-        rows = []
+        t = np.array([-n[1], n[0]]) / np.sqrt(n @ n)
+        red = 0
         for a in scene.stack.astype(np.longdouble):
             an = a @ n
-            rows.append(_perp(an).T @ a @ m / np.sqrt(np.sqrt(an @ an)))
-        g = np.concatenate(rows)
-        red = g.T @ g
-        if scene.dim == 2:
-            out.append([1 / red[0, 0]])
-            continue
-        det = sum((g[i, 0] * g[j, 1] - g[i, 1] * g[j, 0]) ** 2 for i, j in itertools.combinations(range(len(g)), 2))
-        lam = (red[0, 0] + red[1, 1]) / 2 + np.hypot((red[0, 0] - red[1, 1]) / 2, red[0, 1])
-        out.append([1 / lam, lam / det])
+            r = np.sqrt(an @ an)
+            red += (np.array([-an[1], an[0]]) @ a @ t) ** 2 / r**3
+        out.append([1 / red])
     return np.array(out, dtype=np.longdouble)
 
 
@@ -390,7 +370,7 @@ class TestClosedFormCurvatures:
         st.integers(1, 4),
         st.floats(0.0, math.log10(COND_WARN)),
     )
-    def test_positive_ascending_and_no_less_accurate(self, seed, dim, m, log_kappa):
+    def test_positive_ascending_and_in_2d_no_less_accurate(self, seed, dim, m, log_kappa):
         # every term has condition 10^u, u uniform on [0, log_kappa]
         rng = np.random.default_rng(seed)
         sc = EllipsoidSum.from_matrices(
@@ -401,9 +381,10 @@ class TestClosedFormCurvatures:
         assert np.all(np.isfinite(kappa)) and np.all(kappa > 0)
         assert np.all(np.diff(kappa, axis=1) >= 0)
         if dim == 2:
-            # 1 / det C~ in closed form against the Householder reduction; in
-            # 3D both routes share the rounding of C's entries (CHANGES.md)
-            ref = longdouble_curvatures(sc, ns)
+            # 1 / det C~ in closed form against the Householder reduction.  In
+            # 3D both routes inherit the rounding of C's entries A_i^2 - u u^T,
+            # and either can be the more accurate on a given scene
+            ref = longdouble_curvatures_2d(sc, ns)
             householder = curvatures_from_reduced(reduced_stack(sc, ns))
             assert max_rel_err(kappa, ref) <= max_rel_err(householder, ref) + 1e-15
 
@@ -417,6 +398,24 @@ class TestClosedFormCurvatures:
         sc = EllipsoidSum.from_matrices([a])
         kappa = np.array([principal_curvatures(sc, n)[0] for n in ns])
         assert np.all(np.abs(kappa - exact) <= 1e-5 * exact)
+
+    @pytest.mark.filterwarnings("ignore:ellipsoid .* has condition number")
+    @pytest.mark.parametrize("dim, res", [(2, 256), (3, 64)])
+    def test_finite_wherever_the_householder_route_is(self, dim, res):
+        # past COND_WARN lambda_2 falls below rounding, and an exact zero
+        # pivot can leave det C~ = 0 where eigvalsh still gives a finite value
+        from minksum.quadrature import build_quadrature
+
+        ns = build_quadrature(dim, res).nodes
+        for seed in range(10):
+            rng = np.random.default_rng([79, dim, seed])
+            for m, log_kappa in itertools.product((1, 2, 3), (7.0, 8.0, 9.0, 9.9)):
+                sc = EllipsoidSum.from_matrices(
+                    [conditioned_spd(rng, 10.0**log_kappa, dim) for _ in range(m)]
+                )
+                with np.errstate(divide="ignore"):
+                    finite = np.isfinite(curvatures_from_reduced(reduced_stack(sc, ns))).all(axis=1)
+                assert np.all(np.isfinite(principal_curvature_stack(sc, ns)[finite]))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_ball_sums(self, dim):
