@@ -93,9 +93,8 @@ def ellipsoid_from_general(s) -> SpdMatrix:
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    n = s.shape[0]
     norm = np.linalg.norm(s, 2)
-    if abs(np.linalg.det(s)) <= 1e-12 * norm**n:
+    if norm == 0.0 or abs(np.linalg.det(s / norm)) <= 1e-12:
         raise ValueError("matrix is singular (or too close to singular)")
     return SpdMatrix(_abs(s.T))
 
@@ -150,8 +149,8 @@ def support_value(scene: EllipsoidSum, n) -> float:
 def transform_scene(scene: EllipsoidSum, s) -> EllipsoidSum:
     """Apply a nonsingular linear map S to the scene: A_i -> (S A_i^2 S^T)^(1/2) = |A_i S^T|."""
     s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    if abs(np.linalg.det(s)) <= 1e-12 * np.linalg.norm(s, 2) ** n:
+    norm = np.linalg.norm(s, 2)
+    if norm == 0.0 or abs(np.linalg.det(s / norm)) <= 1e-12:
         raise ValueError("transformation matrix is singular")
     return EllipsoidSum.from_matrices(_abs(scene.stack @ s.T))
 

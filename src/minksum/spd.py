@@ -50,8 +50,7 @@ def _check_symmetric(mat, tol: float) -> np.ndarray:
         raise SpdError(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise SpdError("matrix has non-finite entries")
-    scale = max(np.linalg.norm(mat), 1.0)
-    if np.linalg.norm(mat - mat.T) > tol * scale:
+    if np.linalg.norm(mat - mat.T) > tol * np.linalg.norm(mat):
         raise SpdError("matrix is not symmetric within tolerance")
     return _sym_part(mat)
 

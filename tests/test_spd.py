@@ -44,8 +44,12 @@ class TestSymEigen:
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_rejects_nonsymmetric(self):
-        with pytest.raises(SpdError):
-            sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        # the tolerance is relative to |M|, below unit scale too
+        for m in (np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[1e-14, 1e-15], [0.0, 1e-14]])):
+            with pytest.raises(SpdError):
+                sym_eigen(m)
+            with pytest.raises(SpdError):
+                SpdMatrix(m)
 
 
 class TestSpdMatrix:
