@@ -53,13 +53,11 @@ def _curvature(stack: np.ndarray, squares: np.ndarray, ns: np.ndarray) -> np.nda
     """
     k, dim = ns.shape
     c = np.zeros((k, dim, dim))
-    t = np.empty_like(c)  # shared by every term, so no (K, N, N) temporaries
-    # batched over the terms, the (m, K, N, N) temporary would hold m results
     for a, a2 in zip(stack, squares):
-        r = np.linalg.norm(ns @ a, axis=1)[:, None, None]
+        r = np.linalg.norm(ns @ a, axis=1)
         w = ns @ a2
-        c += np.divide(a2, r, out=t)
-        c -= np.divide(np.multiply(w[:, :, None], w[:, None, :], out=t), r**3, out=t)
+        c += a2 / r[:, None, None]
+        c -= w[:, :, None] * w[:, None, :] / (r**3)[:, None, None]
     return c
 
 
@@ -93,15 +91,14 @@ def tangent_basis_stack(normals: np.ndarray) -> np.ndarray:
     n = e_N the basis degenerates to the first N-1 identity columns.
     """
     ns = np.atleast_2d(np.asarray(normals, dtype=float))
-    dim = ns.shape[1]
+    k, dim = ns.shape
     v = ns.copy()
     v[:, -1] -= 1.0
     s = np.einsum("ki,ki->k", v, v)
-    identity = ~(s > 1e-28)  # n = e_N: v = 0 leaves the identity columns
-    v[identity], s[identity] = 0.0, 1.0
-    h = 2.0 * v[:, :, None] * v[:, None, : dim - 1]
-    h /= s[:, None, None]
-    return np.subtract(np.eye(dim)[:, : dim - 1], h, out=h)
+    h = np.broadcast_to(np.eye(dim), (k, dim, dim)).copy()
+    ok = s > 1e-28  # n = e_N: v = 0 leaves the identity
+    h[ok] -= 2.0 * v[ok, :, None] * v[ok, None, :] / s[ok, None, None]
+    return h[:, :, : dim - 1]
 
 
 def tangent_basis(n) -> TangentBasis:
@@ -111,14 +108,8 @@ def tangent_basis(n) -> TangentBasis:
 
 
 def _reduce(c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """M^T C M for stacks of C (K, N, N) and tangent bases M (K, N, N-1), symmetrised.
-
-    The product runs on batch-last copies, (N, N-1, K) and (N, N, K), so
-    einsum's inner loop runs over the K nodes; it sums in the same order
-    as over the batch-first stacks, so the bytes are the same.
-    """
-    mt = m.transpose(1, 2, 0).copy()
-    red = np.einsum("pik,pqk,qjk->kij", mt, c.transpose(1, 2, 0).copy(), mt)
+    """M^T C M for stacks of C (K, N, N) and tangent bases M (K, N, N-1), symmetrised."""
+    red = np.einsum("kpi,kpq,kqj->kij", m, c, m)
     return 0.5 * (red + np.swapaxes(red, 1, 2))
 
 

@@ -155,12 +155,6 @@ def transform_scene(scene: EllipsoidSum, s) -> EllipsoidSum:
     return EllipsoidSum.from_matrices(_abs(scene.stack @ s.T))
 
 
-def _support_and_points(scene: EllipsoidSum, ns: np.ndarray):
-    """h(n) and the boundary points x(n) at rows of normals, from one `ns @ stack` product."""
-    r = np.linalg.norm(ns @ scene.stack, axis=2)
-    return np.sum(r, axis=0), np.sum(ns @ scene.squares / r[:, :, None], axis=0)
-
-
 def max_support_gap(scene: EllipsoidSum, nodes, grid_support, body) -> float:
     """Refined max over unit directions n of s(n) - h(n).
 
@@ -171,28 +165,24 @@ def max_support_gap(scene: EllipsoidSum, nodes, grid_support, body) -> float:
     refined, deterministically, by 20 adaptive projected-gradient steps
     from each of the 5 best nodes.  The 5 ascents run in lockstep as the
     rows of one array; a row stops once its projected gradient vanishes.
-    Each step evaluates the body and the sum once, at the candidate rows,
-    and an accepted row keeps those values for the next step.
     """
     gaps = body(nodes)[0] - grid_support
     top = np.argsort(gaps, kind="stable")[-5:]
     n, val = nodes[top], gaps[top]
-    slope = body(n)[1] - _support_and_points(scene, n)[1]
     step = np.full(len(top), 0.05)
     live = np.ones(len(top), dtype=bool)
     for _ in range(20):
-        grad = slope - n * np.sum(n * slope, axis=1, keepdims=True)
+        grad = body(n)[1] - boundary_points(scene, n)
+        grad -= n * np.sum(n * grad, axis=1, keepdims=True)
         gn = np.linalg.norm(grad, axis=1)
         live &= gn != 0.0
         if not live.any():
             break
         cand = n + step[:, None] * grad / np.where(live, gn, 1.0)[:, None]
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        (s, ds), (h, x) = body(cand), _support_and_points(scene, cand)
-        v = s - h
+        v = body(cand)[0] - support_values(scene, cand)
         gain = live & (v > val)
-        n, val = np.where(gain[:, None], cand, n), np.where(gain, v, val)
-        slope = np.where(gain[:, None], ds - x, slope)
+        n[gain], val[gain] = cand[gain], v[gain]
         step *= np.where(gain, 1.5, 0.5)
     return float(np.max(val))
 

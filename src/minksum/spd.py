@@ -170,14 +170,13 @@ def _inv_sqrt_raw(mat: np.ndarray) -> np.ndarray:
 
 
 def _geometric_mean_raw(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Geometric mean of symmetric arrays; one eigendecomposition of P gives P^(+-1/2)."""
-    lam, V = _eigh(p)
-    if lam[0] <= 0.0:
+    """Geometric mean of symmetric arrays (no SPD validation)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = _inv_sqrt_raw(p)
+    if not np.isfinite(phi).all():
         raise SpdError("matrix is not positive definite in floating point")
-    root = np.sqrt(lam)
-    ph = _spectral(V, root)
-    phi = _spectral(V, 1.0 / root)
     inner = _sqrt_raw(phi @ q @ phi)
+    ph = _sqrt_raw(p)
     return _sym_part(ph @ inner @ ph)
 
 

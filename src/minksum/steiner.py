@@ -101,11 +101,13 @@ def area_sum_2d_recursive(scene: EllipsoidSum) -> float:
     A(S_{k+1}) = A(S_k) + det A_{k+1} L(A_{k+1}^-1 S_k) + A(E_{k+1}) with
     the perimeter of the partial sum split per ellipse.  The semi-axes
     sigma of M = A_j^-1 A_i satisfy sigma_1^2 + sigma_2^2 = |M|_F^2 and
-    sigma_1 sigma_2 = det M, so one batched solve and one `_perimeters`
-    call give every pair.  Each M is first scaled by the power of two at
-    its largest entry, which is exact and keeps |M|_F^2 and det M from
-    underflowing or overflowing when the terms differ by more than about
-    1e150 in size; L scales back by the same power.
+    sigma_1 sigma_2 = det M = det A_i / det A_j, so one batched solve and
+    one `_perimeters` call give every pair.  det M is taken from the terms,
+    not from the solved M: near condition 1e9 rounding in M can turn its
+    determinant negative.  Each M, and each term, is first scaled by the
+    power of two at its largest entry, which is exact and keeps |M|_F^2
+    and det M from underflowing or overflowing when the terms differ by
+    more than about 1e150 in size; L scales back by M's power.
     """
     if scene.dim != 2:
         raise ValueError("area_sum_2d_recursive requires a 2D scene")
@@ -115,7 +117,10 @@ def area_sum_2d_recursive(scene: EllipsoidSum) -> float:
     ratio = np.linalg.solve(stack[j], stack[i])
     exp = np.frexp(np.max(np.abs(ratio), axis=(1, 2)))[1]
     ratio = np.ldexp(ratio, -exp[:, None, None])
-    perims = np.ldexp(_perimeters(np.sum(ratio * ratio, axis=(1, 2)), np.linalg.det(ratio)), exp)
+    scale = np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1]
+    unit_det = np.linalg.det(np.ldexp(stack, -scale[:, None, None]))
+    prod = np.ldexp(unit_det[i] / unit_det[j], 2 * (scale[i] - scale[j] - exp))
+    perims = np.ldexp(_perimeters(np.sum(ratio * ratio, axis=(1, 2)), prod), exp)
     return math.pi * float(np.sum(det)) + 4.0 * math.pi * float(det[j] @ perims)
 
 

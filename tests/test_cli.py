@@ -325,6 +325,19 @@ class TestBoundsCommand:
         assert res.exit_code == 0
 
 
+    @pytest.mark.filterwarnings("ignore:ellipsoid .* condition number:UserWarning")
+    @pytest.mark.parametrize("command", [["bounds"], ["volume", "--method", "steiner"]])
+    def test_2d_terms_near_the_parser_limit(self, runner, tmp_path, command):
+        # two terms of condition 10^9.9, where the 2D area read NaN under
+        # both the Haswell and the SkylakeX kernels: bounds exited 5 (the
+        # sandwich failed on it) and steiner exited 2
+        rng = np.random.default_rng([1, 2])
+        mats = [conditioned_spd(rng, 10**9.9, 2).tolist() for _ in range(2)]
+        path = write_scene(tmp_path, {"dimension": 2, "ellipsoids": [{"matrix": m} for m in mats]})
+        res = runner.invoke(main, [command[0], path, *command[1:]])
+        assert res.exit_code == 0, res.output
+
+
 class TestPlotCommand:
     def test_example_curve_count_and_colors(self, runner, tmp_path):
         path = write_scene(tmp_path, EXAMPLE_SCENE)

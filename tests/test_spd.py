@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_rotation, random_spd
 from minksum.spd import SpdError, SpdMatrix, geometric_mean, spd_sqrt, sym_eigen
-from minksum.spd import _inv_sqrt_raw, _ldl, _sqrt_raw, _sym_part
+from minksum.spd import _geometric_mean_raw, _inv_sqrt_raw, _ldl, _sqrt_raw, _sym_part
 
 
 class TestSymEigen:
@@ -177,6 +177,14 @@ class TestGeometricMean:
             inner = _sqrt_raw(phi @ q.entries @ phi)
             ref = _sym_part(ph @ inner @ ph)
             assert np.array_equal(geometric_mean(p, q).entries, ref)
+
+
+class TestGeometricMeanRaw:
+    @pytest.mark.parametrize("low", [0.0, -1e-3])
+    def test_rejects_a_nonpositive_spectrum(self, low):
+        # raw arrays skip SpdMatrix validation: P^(-1/2) does not exist here
+        with pytest.raises(SpdError, match="not positive definite in floating point"):
+            _geometric_mean_raw(np.diag([1.0, low]), np.eye(2))
 
 
 def pool_upper(mats):

@@ -106,6 +106,19 @@ class TestAreaPair2d:
             area_sum_2d_pair(SpdMatrix(np.eye(3)), SpdMatrix(np.eye(3)))
 
 
+def mixed_area_reference(mpmath, stack):
+    """pi sum_i det A_i + sum_{i<j} det A_j 4 sigma_1 E(1 - sigma_2^2 / sigma_1^2),
+    sigma the singular values of A_j^-1 A_i, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        mats = [mpmath.matrix(a.tolist()) for a in stack]
+        dets = [mpmath.det(a) for a in mats]
+        total = mpmath.pi * mpmath.fsum(dets)
+        for i, j in itertools.combinations(range(len(mats)), 2):
+            sigma = sorted(mpmath.svd_r(mpmath.inverse(mats[j]) * mats[i], compute_uv=False))
+            total += dets[j] * 4 * sigma[1] * mpmath.ellipe(1 - (sigma[0] / sigma[1]) ** 2)
+        return float(total)
+
+
 class TestAreaRecursive2d:
     def test_single_term(self):
         sc = EllipsoidSum.from_matrices([np.diag([2.0, 3.0])])
@@ -145,6 +158,18 @@ class TestAreaRecursive2d:
         area = area_sum_2d_recursive(sc)
         assert math.isfinite(area)
         assert area == pytest.approx(math.pi * np.linalg.det(a), rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:ellipsoid .* condition number:UserWarning")
+    @pytest.mark.parametrize("kappa", [1e9, 10**9.9])
+    def test_conditioned_terms_match_extended_precision(self, kappa):
+        # every term near the parser's limit: det M of the solved ratio
+        # M = A_j^-1 A_i lost its sign to rounding here and the area read NaN
+        mpmath = pytest.importorskip("mpmath")
+        for m, seed in itertools.product(range(2, 7), range(20)):
+            rng = np.random.default_rng([seed, m])
+            sc = EllipsoidSum.from_matrices([conditioned_spd(rng, kappa, 2) for _ in range(m)])
+            ref = mixed_area_reference(mpmath, sc.stack)
+            assert area_sum_2d_recursive(sc) == pytest.approx(ref, rel=1e-9)
 
     def test_perimeter_additivity(self):
         # the 2D boundary measure of a pair is the sum of the ellipse perimeters
