@@ -14,7 +14,9 @@ the searches of `bounds` and the triple terms of `steiner`.
 
 `volume_divergence` and `surface_area` integrate in the Gauss-map chart
 of the plain-sum ellipsoid, n = Bu/|Bu| with B = (sum_i A_i)^-1, which
-makes a single ellipsoid's volume exact at any resolution (`_plain_chart`).
+makes a single ellipsoid's volume exact at any resolution.  One pass
+(`_plain_chart`) yields both integrals; the other call on the same scene
+and `build_quadrature` rule receives the second one, once.
 `volume_term_charts` gives each term A_k its own chart and splits the
 integrand between them, which keeps sums of ill-conditioned terms
 accurate; `bounds` checks against it for N >= 4.
@@ -155,24 +157,41 @@ def _blockwise(f, quad: SphereQuadrature) -> np.ndarray:
     return np.concatenate([f(half.nodes[b], half.weights[b]) for b in blocks])
 
 
-def _plain_chart(scene: EllipsoidSum, quad: SphereQuadrature, f) -> float:
-    """Integral of f(r) det C~(n), r the term norms |A_i n|, in the chart of
-    B = (sum_i A_i)^-1 (`volume_divergence`)."""
+# The integral a `_plain_chart` pass was not asked for, by the ids of its
+# scene and rule (both held, so neither id is reused); the two latest.
+_pending: dict = {}
+
+
+def _plain_chart(scene: EllipsoidSum, quad: SphereQuadrature, which: int) -> float:
+    """The integral of h det C~ (which = 0) or of det C~ (which = 1), h =
+    sum_i |A_i n|, in the chart of B = (sum_i A_i)^-1 (`volume_divergence`).
+    One pass yields both; on a `build_quadrature` rule the other is handed
+    once to the next call on the same scene and rule that asks for it.
+    """
     _check_dim(scene, quad)
+    held = _pending.pop((id(scene), id(quad)), None)
+    if held is not None and held[2] == which:
+        return held[3]
     b = np.linalg.inv(np.sum(scene.stack, axis=0))
-
-    def integrand(u, w):
-        n, density = _chart(u, b)
+    half = hemisphere(quad)
+    sums = np.empty(len(half.nodes)), np.empty(len(half.nodes))
+    for start in range(0, len(half.nodes), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        n, density = _chart(half.nodes[block], b)
         r = geometry.term_norms(scene.stack, n)
-        return w * density * f(r) * curvature.area_factors(scene, n, r)
-
-    return float(np.sum(_blockwise(integrand, quad)))
+        wd, af = half.weights[block] * density, curvature.area_factors(scene, n, r)
+        sums[0][block], sums[1][block] = wd * np.sum(r, axis=0) * af, wd * af
+    if isinstance(quad, _ProductRule):
+        _pending[id(scene), id(quad)] = scene, quad, 1 - which, float(np.sum(sums[1 - which]))
+        if len(_pending) > 2:
+            del _pending[next(iter(_pending))]
+    return float(np.sum(sums[which]))
 
 
 def surface_area(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     """Boundary measure (perimeter for N = 2, surface area for N = 3): the
-    integral of det C~ in the plain-sum chart of `volume_divergence`."""
-    return _plain_chart(scene, quad, lambda r: 1.0)
+    integral of det C~ that the pass of `volume_divergence` also yields."""
+    return _plain_chart(scene, quad, 1)
 
 
 def mean_curvature_integral(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
@@ -218,9 +237,10 @@ def volume_divergence(scene: EllipsoidSum, quad: SphereQuadrature) -> float:
     det(A)^2 / |An|^N times the chart's Jacobian is the constant det A, so
     the rule returns V_B det A at any resolution.  For m >= 2 the chart
     follows the plain sum's shape only, so the error still grows when the
-    terms are ill-conditioned in different directions.
+    terms are ill-conditioned in different directions.  The same pass
+    yields `surface_area`, handed once to its next call on the same pair.
     """
-    return _plain_chart(scene, quad, lambda r: np.sum(r, axis=0)) / scene.dim
+    return _plain_chart(scene, quad, 0) / scene.dim
 
 
 def volume_term_charts(scene: EllipsoidSum, quad: SphereQuadrature) -> float:

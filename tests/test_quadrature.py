@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from scipy.special import ellipe, elliprg
 from conftest import conditioned_scene, conditioned_spd, random_scene
 from minksum.geometry import EllipsoidSum
 from minksum.spd import SpdMatrix
-from minksum import quadrature, steiner
+from minksum import curvature, quadrature, steiner
 from minksum.oracle import polyline_perimeter
 from minksum.quadrature import (
     SphereQuadrature,
@@ -395,3 +397,168 @@ class TestVolumeTermCharts:
         assert volume_term_charts(flipped, quad) == pytest.approx(
             volume_term_charts(sc, quad), rel=1e-13
         )
+
+
+def fresh(integral, scene, quad):
+    """`integral` from a pass of its own: nothing held from an earlier call."""
+    quadrature._pending.clear()
+    return integral(scene, quad)
+
+
+class CountPasses:
+    """Counts `curvature.area_factors` calls: one per block of a pass."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        inner = curvature.area_factors
+
+        def counting(*args):
+            self.calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(curvature, "area_factors", counting)
+
+
+def volume_op(scene):
+    """The `minksum volume` computation: fine volume, coarse volume, fine area."""
+    res = quadrature.default_resolution(scene.dim)
+    quad, coarse = build_quadrature(scene.dim, res), build_quadrature(scene.dim, res // 2)
+    value = volume_divergence(scene, quad)
+    payload = {
+        "value": value,
+        "refinement_delta": value - volume_divergence(scene, coarse),
+        "surface_area": surface_area(scene, quad),
+    }
+    if scene.dim <= 3:
+        payload["total_curvature"] = gaussian_curvature_integral(scene, quad)
+    return payload
+
+
+class TestPlainChartHandover:
+    # (dim, resolution): even and odd, one even rule of two blocks per half
+    RULES = [(2, 32), (2, 33), (3, 16), (3, 17), (3, 130), (4, 8), (4, 9), (5, 6), (5, 7)]
+    CASES = [(dim, res, m) for dim, res in RULES for m in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("dim, res, m", CASES)
+    def test_either_order_gives_fresh_bits(self, dim, res, m):
+        sc = random_scene(np.random.default_rng([dim, res, m]), dim, m)
+        quad = build_quadrature(dim, res)
+        volume, area = fresh(volume_divergence, sc, quad), fresh(surface_area, sc, quad)
+        quadrature._pending.clear()
+        assert volume_divergence(sc, quad) == volume and surface_area(sc, quad) == area
+        quadrature._pending.clear()
+        assert surface_area(sc, quad) == area and volume_divergence(sc, quad) == volume
+
+    def test_interleaved_scenes_and_rules_give_fresh_bits(self):
+        rng = np.random.default_rng(3802)
+        pairs = [
+            (random_scene(rng, dim, m), build_quadrature(dim, res))
+            for dim, res in self.RULES
+            for m in (1, 3)
+        ]
+        calls = [(f, i) for i in range(len(pairs)) for f in (volume_divergence, surface_area)]
+        expected = {(f, i): fresh(f, *pairs[i]) for f, i in calls}
+        quadrature._pending.clear()
+        for k in rng.permutation(len(calls)):
+            f, i = calls[k]
+            assert f(*pairs[i]) == expected[f, i]
+            assert len(quadrature._pending) <= 2
+
+    def test_equal_scenes_do_not_share_a_pass(self, monkeypatch):
+        rng = np.random.default_rng(3803)
+        mats = [conditioned_spd(rng, 30.0) for _ in range(3)]
+        first, second = EllipsoidSum.from_matrices(mats), EllipsoidSum.from_matrices(mats)
+        quad = build_quadrature(3, 16)
+        area = fresh(surface_area, first, quad)
+        quadrature._pending.clear()
+        count = CountPasses(monkeypatch)
+        volume_divergence(first, quad)
+        assert surface_area(second, quad) == area
+        assert count.calls == 2
+        assert surface_area(first, quad) == area
+        assert count.calls == 2
+
+    def test_hand_built_rule_recomputes(self, monkeypatch):
+        sc = random_scene(np.random.default_rng(3804), 3, 2)
+        rule = build_quadrature(3, 16)
+        quad = SphereQuadrature(3, rule.nodes.copy(), rule.weights.copy())
+        count = CountPasses(monkeypatch)
+        volume_divergence(sc, quad)
+        quad.weights[::2] *= 0.5
+        area = surface_area(sc, quad)
+        assert count.calls == 2
+        mutated = SphereQuadrature(3, rule.nodes, quad.weights.copy())
+        assert area == fresh(surface_area, sc, mutated)
+        assert area != fresh(surface_area, sc, rule)
+
+    def test_repeated_call_recomputes(self, monkeypatch):
+        # a value is handed over once, and only to the other integral
+        sc = random_scene(np.random.default_rng(3805), 3, 3)
+        quad = build_quadrature(3, 16)
+        expected = {f: fresh(f, sc, quad) for f in (volume_divergence, surface_area)}
+        quadrature._pending.clear()
+        count = CountPasses(monkeypatch)
+        passes = []
+        volume, area = volume_divergence, surface_area
+        for f in (volume, volume, area, area, volume):
+            assert f(sc, quad) == expected[f]
+            passes.append(count.calls)
+        assert passes == [1, 2, 2, 3, 3]
+
+    def test_dimension_mismatch_raises_on_every_call(self):
+        sc = random_scene(np.random.default_rng(3806), 3, 2)
+        volume_divergence(sc, build_quadrature(3, 16))
+        for _ in range(2):
+            for integral in (volume_divergence, surface_area):
+                with pytest.raises(ValueError, match="dimension"):
+                    integral(sc, build_quadrature(2, 16))
+
+    def test_volume_op_runs_one_pass_per_rule(self, monkeypatch):
+        rng = np.random.default_rng(3807)
+        scenes = [random_scene(rng, dim, m) for dim in (2, 3, 4) for m in (1, 3)]
+        payloads = []
+        quadrature._pending.clear()
+        count = CountPasses(monkeypatch)
+        for _ in range(2):
+            payload = []
+            for sc in scenes:
+                res = quadrature.default_resolution(sc.dim)
+                fine, coarse = build_quadrature(sc.dim, res), build_quadrature(sc.dim, res // 2)
+                half = [len(hemisphere(q).nodes) for q in (fine, coarse)]
+                blocks = sum(-(-k // quadrature._BLOCK) for k in half)
+                count.calls = 0
+                payload.append(volume_divergence(sc, fine))
+                payload.append(volume_divergence(sc, coarse))
+                payload.append(surface_area(sc, fine))
+                assert count.calls == blocks
+                assert len(quadrature._pending) <= 2
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
+
+GOLDEN_VOLUME = Path(__file__).with_name("golden_volume.json")
+
+
+def pin_scenes():
+    """24 seeded scenes: N = 2, 3, 4, m = 1..6 and then 1, 2 again, term
+    condition numbers log-uniform on [1, 10^2.5]."""
+    rng = np.random.default_rng(3801)
+    for dim in (2, 3, 4):
+        for i in range(8):
+            m = 1 + i % 6
+            yield EllipsoidSum.from_matrices(
+                [conditioned_spd(rng, 10.0 ** rng.uniform(0.0, 2.5), dim) for _ in range(m)]
+            )
+
+
+class TestVolumePayloadPins:
+    def test_payload_bits(self):
+        # captured before the volume and area integrals shared one pass,
+        # under the Haswell OpenBLAS kernels that conftest pins
+        golden = json.loads(GOLDEN_VOLUME.read_text())
+        scenes = list(pin_scenes())
+        assert len(scenes) == len(golden) == 24
+        for sc, want in zip(scenes, golden):
+            assert (sc.dim, sc.m) == (want["dim"], want["m"])
+            got = {key: value.hex() for key, value in volume_op(sc).items()}
+            assert got == want["payload"]
