@@ -78,7 +78,7 @@ class BoundReport:
 
 def inner_sum_matrix(scene: EllipsoidSum) -> SpdMatrix:
     """A_sum = sum of the shape matrices; E_{A_sum} lies inside the sum."""
-    return SpdMatrix(np.sum(scene.stack, axis=0))
+    return SpdMatrix(scene.stack.sum(axis=0))
 
 
 def containment_check(candidate: SpdMatrix, scene: EllipsoidSum, resolution=None) -> bool:
@@ -133,7 +133,7 @@ def contact_points(a1: SpdMatrix, a2: SpdMatrix) -> np.ndarray:
 
 def _kv_sum(stack: np.ndarray, t: np.ndarray) -> np.ndarray:
     """P = sum_i |A_i T^-1|, with T^-1 A_i from a solve (T and the A_i are symmetric)."""
-    return np.sum(_abs(np.swapaxes(np.linalg.solve(t, stack), -1, -2)), axis=0)
+    return _abs(np.linalg.solve(t, stack).swapaxes(-1, -2)).sum(axis=0)
 
 
 def _kv(stack: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -173,20 +173,21 @@ def _kv_fixed_point(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _KV_CAP).  The returned P is `_kv_sum(stack, T)` at the returned T,
     at the cap too.
     """
-    t = np.sum(stack, axis=0)
+    t = stack.sum(axis=0)
     p = _kv_sum(stack, t)
     images, residuals = [], []
     for _ in range(_KV_CAP - 1):
         lam, V = np.linalg.eigh(p)
-        if np.max(np.abs(lam - 1.0)) <= _KV_TOL:
+        if abs(lam - 1.0).max() <= _KV_TOL:
             break
-        image = _abs(_spectral(V, np.sqrt(np.clip(lam, 0.0, None))) @ t)
+        image = _abs(_spectral(V, np.sqrt(lam.clip(0.0, None))) @ t)
         images = images[-_KV_DEPTH:] + [image.ravel()]
         residuals = residuals[-_KV_DEPTH:] + [(image - t).ravel()]
         t = image
         if len(images) > 1:
-            weights = np.linalg.lstsq(np.diff(residuals, axis=0).T, residuals[-1], rcond=None)[0]
-            mixed = _sym_part((images[-1] - weights @ np.diff(images, axis=0)).reshape(t.shape))
+            h, r = np.array(images), np.array(residuals)  # the differences np.diff takes
+            weights = np.linalg.lstsq((r[1:] - r[:-1]).T, r[-1], rcond=None)[0]
+            mixed = _sym_part((h[-1] - weights @ (h[1:] - h[:-1])).reshape(t.shape))
             if np.linalg.eigvalsh(mixed)[0] > 0.0:
                 t = mixed
             else:
@@ -207,7 +208,7 @@ def john_inner_recursive(scene: EllipsoidSum) -> SpdMatrix:
     t, p = _kv_fixed_point(scene.stack)
     # The plain sum is a valid inner candidate, so it participates in the max.
     fixed = _abs(p @ t)
-    return SpdMatrix(max([fixed, np.sum(scene.stack, axis=0)], key=np.linalg.det))
+    return SpdMatrix(max([fixed, scene.stack.sum(axis=0)], key=np.linalg.det))
 
 
 def kv_inner_family(a: SpdMatrix, b: SpdMatrix, s: SpdMatrix) -> SpdMatrix:
@@ -232,9 +233,9 @@ def outer_gamma_matrix(scene: EllipsoidSum, gammas) -> SpdMatrix:
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape != (scene.m,):
         raise ValueError(f"need {scene.m} gamma values")
-    if np.any(gammas <= 0.0):
+    if (gammas <= 0.0).any():
         raise ValueError("gamma values must be positive")
-    if abs(np.sum(1.0 / gammas) - 1.0) > 1e-12:
+    if abs((1.0 / gammas).sum() - 1.0) > 1e-12:
         raise ValueError("gamma values must satisfy sum 1/gamma_i = 1")
     if scene.m == 1:
         return scene.terms[0]
@@ -286,8 +287,8 @@ def heuristic_gammas(scene: EllipsoidSum) -> np.ndarray:
 
     Satisfies the constraint sum 1/gamma'_i = 1 identically.
     """
-    roots = np.sqrt(np.trace(scene.squares, axis1=1, axis2=2))
-    return float(np.sum(roots)) / roots
+    roots = np.sqrt(scene.squares.trace(axis1=1, axis2=2))
+    return float(roots.sum()) / roots
 
 
 def direction_outer_matrix(scene: EllipsoidSum, l) -> SpdMatrix:
@@ -321,20 +322,21 @@ def _outer_pair(scene: EllipsoidSum) -> tuple[SpdMatrix, SpdMatrix]:
     """`minvol_outer` and the heuristic outer ellipsoid it is compared with."""
     heuristic = heuristic_gammas(scene)
     w = 1.0 / heuristic
+    squares = scene.squares
     # X squares the terms, but any weights on the simplex give a valid |G|
     # bound, so that can cost optimality only.  A QR-factored loop matched
     # this one's log det within 4e-14 and took about 1.6 times as long.
     for _ in range(_FIXED_POINT_CAP):
         try:
-            x_inv = np.linalg.inv(np.sum(scene.squares / w[:, None, None], axis=0))
+            x_inv = np.linalg.inv((squares / w[:, None, None]).sum(axis=0))
         except np.linalg.LinAlgError:
             break
-        traces = np.trace(x_inv @ scene.squares, axis1=1, axis2=2)
-        if not np.all(traces > 0.0):
+        traces = (x_inv @ squares).trace(axis1=1, axis2=2)
+        if not (traces > 0.0).all():
             break
         new = np.sqrt(traces)
-        new /= np.sum(new)
-        moved = float(np.max(np.abs(new - w)))
+        new /= new.sum()
+        moved = float(abs(new - w).max())
         w = new
         if moved <= _FIXED_POINT_TOL:
             break

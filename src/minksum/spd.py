@@ -5,7 +5,9 @@ Matrices are validated, as `SpdMatrix`, only where they enter the library
 results leave it (`BoundReport` fields, public return values).  In between,
 private helpers pass exactly symmetric raw arrays and check nothing; a
 product such as A @ A goes through `_sym_part`, which returns an exactly
-symmetric array bit for bit.
+symmetric array bit for bit.  A validated `SpdMatrix` is read-only,
+compares and hashes by its bytes, and computes its determinant once, on
+first use.
 
 Eigendecompositions are LAPACK's symmetric solver (`numpy.linalg.eigh`).
 Its output is bitwise reproducible for a fixed LAPACK/BLAS build, kernel
@@ -29,6 +31,7 @@ on whole pool rows.  The Monte Carlo oracle solves with it and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +51,7 @@ def _check_symmetric(mat, tol: float) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SpdError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise SpdError("matrix has non-finite entries")
     if np.linalg.norm(mat - mat.T) > tol * np.linalg.norm(mat):
         raise SpdError("matrix is not symmetric within tolerance")
@@ -56,13 +59,13 @@ def _check_symmetric(mat, tol: float) -> np.ndarray:
 
 
 def _sym_part(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and sign-normalized eigenvectors of a symmetric array."""
     lam, V = np.linalg.eigh(mat)
-    peak = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    peak = V[abs(V).argmax(axis=0), np.arange(V.shape[1])]
     return lam, V * np.sign(peak)
 
 
@@ -97,14 +100,29 @@ class SpdMatrix:
         if lam[-1] <= 0 or lam[0] <= EPS_PD * lam[-1]:
             raise SpdError(f"matrix is not positive definite (eigenvalues {lam})")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        # a view of a read-only array cannot be made writable: det and hash stay valid
+        object.__setattr__(self, "entries", m.view())
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
     def det(self) -> float:
+        """The determinant, computed once per matrix (the entries are read-only)."""
+        return self._det
+
+    @cached_property
+    def _det(self) -> float:
         return float(np.linalg.det(self.entries))
+
+    def __eq__(self, other):
+        """Bitwise value equality: the same shape and the same entry bytes."""
+        if not isinstance(other, SpdMatrix):
+            return NotImplemented
+        return (self.dim, self.entries.tobytes()) == (other.dim, other.entries.tobytes())
+
+    def __hash__(self):
+        return hash(self.entries.tobytes())
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -143,14 +161,14 @@ def _ldl(upper, dim: int) -> tuple[list, list]:
 
 
 def _spectral(V: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """V diag(values) V^T, symmetrized."""
-    return _sym_part(V @ np.diag(values) @ V.T)
+    """V diag(values) V^T, symmetrized, with the bits of V @ np.diag(values) @ V.T."""
+    return _sym_part((V * values) @ V.T)
 
 
 def _abs(g: np.ndarray) -> np.ndarray:
     """|G| = (G^T G)^(1/2) of a stack of k x N arrays, k >= N, from the thin SVD of G."""
     _, sv, vh = np.linalg.svd(g, full_matrices=False)
-    return _sym_part(np.swapaxes(vh, -1, -2) * sv[..., None, :] @ vh)
+    return _sym_part(vh.swapaxes(-1, -2) * sv[..., None, :] @ vh)
 
 
 def _sqrt_raw(mat: np.ndarray) -> np.ndarray:

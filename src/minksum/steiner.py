@@ -115,13 +115,13 @@ def area_sum_2d_recursive(scene: EllipsoidSum) -> float:
     det = np.linalg.det(stack)
     i, j = np.nonzero(~np.tri(scene.m, dtype=bool))
     ratio = np.linalg.solve(stack[j], stack[i])
-    exp = np.frexp(np.max(np.abs(ratio), axis=(1, 2)))[1]
+    exp = np.frexp(abs(ratio).max(axis=(1, 2)))[1]
     ratio = np.ldexp(ratio, -exp[:, None, None])
-    scale = np.frexp(np.max(np.abs(stack), axis=(1, 2)))[1]
+    scale = np.frexp(abs(stack).max(axis=(1, 2)))[1]
     unit_det = np.linalg.det(np.ldexp(stack, -scale[:, None, None]))
     prod = np.ldexp(unit_det[i] / unit_det[j], 2 * (scale[i] - scale[j] - exp))
-    perims = np.ldexp(_perimeters(np.sum(ratio * ratio, axis=(1, 2)), prod), exp)
-    return math.pi * float(np.sum(det)) + 4.0 * math.pi * float(det[j] @ perims)
+    perims = np.ldexp(_perimeters((ratio * ratio).sum(axis=(1, 2)), prod), exp)
+    return math.pi * float(det.sum()) + 4.0 * math.pi * float(det[j] @ perims)
 
 
 def _perimeters(s: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -137,7 +137,7 @@ def _perimeters(s: np.ndarray, p: np.ndarray) -> np.ndarray:
     c = 0.5 * np.sqrt(np.maximum(s - 2.0 * p, 0.0))
     a, g, total, power = 0.5 * np.sqrt(s + 2.0 * p), np.sqrt(p), c * c, 1.0
     for _ in range(AGM_MAX_STEPS):
-        if not np.any(c > AGM_RTOL * a):
+        if not (c > AGM_RTOL * a).any():
             break
         a, g, c = 0.5 * (a + g), np.sqrt(a * g), 0.5 * (a - g)
         power *= 2.0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -765,6 +766,16 @@ class TestVolumeBounds:
             else:
                 assert volume_bounds(sc).to_json() == case["report"]
 
+    def test_reports_compare_and_hash(self):
+        rng = np.random.default_rng(77)
+        for dim, m in itertools.product((2, 3), (1, 2, 4)):
+            mats = [random_spd(rng, dim) for _ in range(m)]
+            first = volume_bounds(EllipsoidSum.from_matrices(mats))
+            second = volume_bounds(EllipsoidSum.from_matrices(mats))
+            assert first == second and hash(first) == hash(second)
+            assert len({first, second}) == 1
+        assert first != volume_bounds(EllipsoidSum.from_matrices(mats[::-1] + mats[:1]))
+
     def test_json_field_names(self, example_scene):
         rep = volume_bounds(example_scene)
         assert set(rep.to_json()) == {
@@ -883,3 +894,79 @@ class TestSupportContainment:
                 assert np.all(np.linalg.norm(v @ inner.entries, axis=1) <= h + slack)
             for outer in outers:
                 assert np.all(h <= np.linalg.norm(v @ outer.entries, axis=1) + slack)
+
+
+def bench_scenes():
+    """24 seeded scenes drawn as perfbench/scenes.py draws them: N = 2, 3; m = 1..6.
+
+    Each term is Q diag(s) Q^T with s = scale * cond**t, t_0 = 0, t_1 = 1
+    and the rest uniform, scale log-uniform on [0.5, 2].  The scene's
+    condition number is log-uniform on one half of [1, 10^3.5] per cell;
+    the first term has it exactly, the others are log-uniform below it.
+    """
+    rng = np.random.default_rng(4242)
+    for dim in (2, 3):
+        for m in range(1, 7):
+            for half in range(2):
+                cond = 10.0 ** (3.5 * (half + rng.uniform()) / 2.0)
+                mats = []
+                for i in range(m):
+                    kappa = cond if i == 0 else math.exp(rng.uniform(0.0, math.log(cond)))
+                    t = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, dim - 2)])
+                    axes = math.exp(rng.uniform(math.log(0.5), math.log(2.0))) * kappa**t
+                    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+                    q = q * np.sign(np.diag(r))
+                    a = q @ np.diag(axes) @ q.T
+                    mats.append(0.5 * (a + a.T))
+                yield EllipsoidSum.from_matrices(mats)
+
+
+def report_digest(sc):
+    """SHA-256 over the float.hex of a scene's whole bound report and its minvol_outer entries."""
+    rep = volume_bounds(sc, quadrature.default_quadrature(sc.dim))
+    fields = rep.to_json()
+    values = [fields[key] for key in sorted(fields) if key != "bm_chain"] + fields["bm_chain"]
+    mats = (rep.inner_sum, rep.inner_john, rep.outer_optimal, rep.outer_heuristic, minvol_outer(sc))
+    for mat in mats:
+        values += mat.entries.ravel().tolist()
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+class TestReportBits:
+    # every bit of the report, not only its seven JSON fields: the four
+    # report matrices, and minvol_outer, which sets the oracle's sampling
+    # box.  Captured under the Haswell OpenBLAS kernels that conftest pins,
+    # before the bounds layer's hot loops moved from np.* wrappers to the
+    # ndarray methods they call and each SpdMatrix kept its determinant.
+    DIGESTS = (
+        "480f57c3f98a592fc729cb9bc186b0a51d29c41d2f5158c050bfb60e9bb300c3",
+        "1d07b89062f55397aad4e6bdada31342bf4bb97a1dfd0fa0d94a9ca00ecf747d",
+        "0b09082393567c2c6fbd3d3cd358b080ae54d6cdae74d6c2738cee2c2767b4f5",
+        "810371252f535a4daa1c5af0cb60c575a59aba6ff7dde2b620fea888e3d7cd9e",
+        "748c7d4ef678fb0b3cad3e20b278e4a6b005cc4f635d67cdf4f65233c7e963ba",
+        "d3a28adb50f7baf0f5f959516a7f45cf1862882149c509c4283d62ee45636049",
+        "40590429956e0e826cc40b07ee40494ab6fbe7f386531584dae3cb672a7d1213",
+        "8b4a98e55ec8dcb1f6e16b811b7bff6a265724d6d502beb3323ef2b0f153dee8",
+        "4b42c91493dfbd0afa349ae175bab65cf3cc4c150b67d89a4591d44401c6a362",
+        "9d5259a7d4bb137c4620cd7ddf86b0b8abc289158084f3292fded084ddb036aa",
+        "6210158912aab4018dd507cd3f17f0102fd069a8e1f9a6599936fa892b2fa0fe",
+        "c4ec056ac47bed32280d5f5fe139cc281d1e6a59ce6d6eb235db4ed87dd5793f",
+        "a680e0dcab8cfaabbe4fc12047a54e474e339e73636eecf679f53689eea3696d",
+        "0764b7d38607330b70954a8ca7be2f2ff6ec9863d9bec05588574698ecb747f1",
+        "0944b10a0f4925af8315a9df2b52ec6c18978819542f0283c1ed7ded79e89b1d",
+        "1a4bee6719b76a55a8e8e36aba313b2f9c1e808ce244cf59960978cf36c266d3",
+        "26e3e041b35ccbdc1e06315feeecfcad833a8eeafec5017b8e2b6468d94c3e0a",
+        "573890d53f467b651f419537f3b242a07c76a0f3b5b9349e83e0479cf3247af2",
+        "74852702278eefbab826022e28557ca9faf979078cba659b5b1eaea2ceb1105e",
+        "cc1c1ba7911a99402d51c8e390726b39674b3e3024d754f328f19a84f14adf35",
+        "8bddd0c225cdb54367c87027146e8d9b22da955b088af54bd7cb98e39fb66f5f",
+        "e0310c14ea5596f7b317abc95e65a33195798ed64780388e2da43a08a458c20e",
+        "d6e8d9edffd9e503be597dfefa1fa4000cfd2ff35e242a2744f1eb5016717d69",
+        "f6ebfc15f42fff5617aae6e4ae11949f63ccc2a33cc35c1d20b3fa6bc64c3451",
+    )
+
+    def test_report_digests(self):
+        scenes = list(bench_scenes())
+        assert len(scenes) == len(self.DIGESTS) == 24
+        for sc, want in zip(scenes, self.DIGESTS):
+            assert report_digest(sc) == want

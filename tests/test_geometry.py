@@ -338,6 +338,26 @@ class TestMaxSupportGap:
             assert contained == (ref <= 1e-9 * scale)
 
 
+class TestSceneEquality:
+    def test_equal_terms_equal_scenes(self):
+        rng = np.random.default_rng(64)
+        mats = [random_spd(rng, 3) for _ in range(3)]
+        first, second = EllipsoidSum.from_matrices(mats), EllipsoidSum.from_matrices(mats)
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first.part(slice(0, 2)) == EllipsoidSum.from_matrices(mats[:2])
+
+    def test_order_and_bits_matter(self):
+        rng = np.random.default_rng(65)
+        mats = [random_spd(rng, 2) for _ in range(2)]
+        sc = EllipsoidSum.from_matrices(mats)
+        assert sc != EllipsoidSum.from_matrices(mats[::-1])
+        nudged = mats[0].copy()
+        nudged[0, 0] = np.nextafter(nudged[0, 0], 0.0)
+        assert sc != EllipsoidSum.from_matrices([nudged, mats[1]])
+
+
 class TestSceneJson:
     def test_roundtrip(self):
         rng = np.random.default_rng(23)

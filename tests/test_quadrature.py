@@ -468,6 +468,7 @@ class TestPlainChartHandover:
         rng = np.random.default_rng(3803)
         mats = [conditioned_spd(rng, 30.0) for _ in range(3)]
         first, second = EllipsoidSum.from_matrices(mats), EllipsoidSum.from_matrices(mats)
+        assert first == second and hash(first) == hash(second)  # the pass is keyed by identity
         quad = build_quadrature(3, 16)
         area = fresh(surface_area, first, quad)
         quadrature._pending.clear()

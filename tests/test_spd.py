@@ -4,10 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_rotation, random_spd
 from minksum.spd import SpdError, SpdMatrix, geometric_mean, spd_sqrt, sym_eigen
-from minksum.spd import _geometric_mean_raw, _inv_sqrt_raw, _ldl, _sqrt_raw, _sym_part
+from minksum.spd import _eigh, _geometric_mean_raw, _inv_sqrt_raw, _ldl, _spectral
+from minksum.spd import _sqrt_raw, _sym_part
 
 
 class TestSymEigen:
@@ -74,6 +77,62 @@ class TestSpdMatrix:
     def test_det(self):
         s = SpdMatrix(np.diag([2.0, 3.0]))
         assert s.det() == pytest.approx(6.0, rel=1e-12)
+
+    def test_det_computed_once(self, monkeypatch):
+        s = SpdMatrix(random_spd(np.random.default_rng(61), 3))
+        want = float(np.linalg.det(s.entries))
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a) or det(a))
+        assert [s.det(), s.det(), SpdMatrix.det(s)] == [want] * 3
+        assert len(calls) == 1
+
+    def test_bitwise_equality_and_hash(self):
+        a = random_spd(np.random.default_rng(62), 3)
+        s, t = SpdMatrix(a), SpdMatrix(a.copy())
+        assert SpdMatrix(np.eye(2)) == SpdMatrix(np.eye(2))
+        assert s == t and s is not t
+        assert hash(s) == hash(t)
+        assert len({s, t, SpdMatrix(np.eye(3))}) == 2
+        assert {s: 1}[t] == 1
+
+    def test_one_ulp_or_another_shape_differs(self):
+        a = random_spd(np.random.default_rng(63), 3)
+        b = a.copy()
+        b[1, 1] = np.nextafter(b[1, 1], np.inf)
+        assert SpdMatrix(a) != SpdMatrix(b)
+        assert SpdMatrix(np.eye(2)) != SpdMatrix(np.eye(3))
+        assert SpdMatrix(np.eye(2)) != np.eye(2).tobytes()
+        assert SpdMatrix(np.eye(2)).__eq__(np.eye(2)) is NotImplemented
+
+    def test_entries_read_only(self):
+        s = SpdMatrix(np.eye(2))
+        with pytest.raises(ValueError):
+            s.entries[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            s.entries.setflags(write=True)
+
+
+class TestSpectral:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.booleans(),
+        st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    def test_bits_of_the_diagonal_product(self, seed, dim, aligned, zeros):
+        # _spectral scales the columns of V in place of a product with
+        # diag(values); each entry of V diag(values) is a single product,
+        # so both give the same bytes, zero values and signs included
+        rng = np.random.default_rng(seed)
+        if aligned:
+            V = np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], dim)
+        else:
+            V = _eigh(_sym_part(rng.standard_normal((dim, dim))))[1]
+        values = rng.uniform(0.0, 1.0, dim) * 10.0 ** rng.uniform(-8.0, 8.0, dim)
+        values[np.array(zeros[:dim])] = 0.0
+        got = _spectral(V, values)
+        assert got.tobytes() == _sym_part(V @ np.diag(values) @ V.T).tobytes()
 
 
 class TestSqrt:
